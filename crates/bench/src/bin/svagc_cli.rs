@@ -66,12 +66,12 @@ fn usage() -> ! {
                       shenandoah arms its SATB barrier so its final-mark
                       charge is proportional to logged work; parallelgc
                       is unchanged
-  --scheduler         GC scheduling substrate: barrier (default; each
-                      phase joins at a global barrier) or packets (work
-                      decomposed into typed packets in dependency-ordered
-                      buckets, drained greedily with deterministic
-                      least-loaded stealing; workers flow across bucket
-                      boundaries where the dependency graph allows)
+  --scheduler         bucket policy of the GC schedule engine: barrier
+                      (default; each phase's bucket opens after the
+                      previous one drains, one packet per object) or
+                      packets (buckets overlap: chunked packets run when
+                      their dependencies complete, with deterministic
+                      work stealing, so workers flow across phases)
   --core-base <n>     first machine core the GC workers pin to (worker w
                       runs on core (n + w) mod cores; multi-JVM runs set
                       disjoint bases automatically)

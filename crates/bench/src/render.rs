@@ -297,7 +297,7 @@ pub fn fig14(rep: &mut Report) {
     rep.derived("gc_growth_pct_1_to_32", g);
     rep.derived("app_growth_pct_1_to_32", a);
     rep.say(format!(
-        "1->32 JVMs: GC time +{g:.0}%, app time +{a:.0}% (paper: +52% GC vs +327.5% app)"
+        "1->32 JVMs: GC time {g:+.0}%, app time {a:+.0}% (paper: +52% GC vs +327.5% app)"
     ));
 }
 

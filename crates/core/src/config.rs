@@ -3,17 +3,20 @@
 use crate::degrade::DegradePolicy;
 use crate::resilience::RetryPolicy;
 
-/// Which scheduling substrate drives the parallel LISP2 phases.
+/// The bucket policy of the GC schedule engine ([`crate::packets`]):
+/// how the per-phase packet buckets of the LISP2 collector and the
+/// scavenger relate in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// The classic four-phase pipeline: each phase fills a [`crate::WorkerPool`],
-    /// hits a global barrier, and resets.
+    /// The classic four-phase pipeline: a bucket opens only after the
+    /// previous one drains, with every worker joined; one packet per
+    /// object, placed least-loaded (or round-robin without stealing).
     #[default]
     Barrier,
-    /// Work-packet scheduler ([`crate::packets`]): typed packets in
-    /// dependency-ordered buckets; workers drain packets greedily with
-    /// deterministic least-loaded stealing and flow across bucket
-    /// boundaries wherever the dependency graph allows.
+    /// Overlapping buckets: chunked packets become ready when their
+    /// dependencies complete, and workers drain them with deterministic
+    /// stealing, flowing across bucket boundaries wherever the
+    /// dependency graph allows.
     Packets,
 }
 
@@ -77,8 +80,8 @@ pub struct GcConfig {
     /// Circuit-breaker policy deciding whether an aborted cycle is
     /// retried in a degraded mode (see [`crate::degrade`]).
     pub degrade: DegradePolicy,
-    /// Scheduling substrate for the parallel phases (barrier pipeline or
-    /// work packets).
+    /// Bucket policy of the GC schedule engine (barrier pipeline or
+    /// overlapping work packets).
     pub scheduler: SchedulerKind,
     /// First machine core this collector's workers pin to (worker `w` →
     /// core `(core_base + w) % cores`). Multi-JVM tenants get disjoint
@@ -192,7 +195,7 @@ impl GcConfig {
         self
     }
 
-    /// Select the scheduling substrate (barrier pipeline or work packets).
+    /// Select the bucket policy (barrier pipeline or work packets).
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> GcConfig {
         self.scheduler = kind;
         self

@@ -5,11 +5,11 @@
 //! * [`config`] — which mechanisms are on ([`GcConfig::svagc`] vs
 //!   [`GcConfig::lisp2_memmove`] is the paper's central comparison).
 //! * [`lisp2`] — the four STW phases over real simulated memory.
-//! * [`scheduler`] — deterministic virtual-time model of parallel GC
-//!   workers (work stealing vs static partitioning).
-//! * [`packets`] — the work-packet/work-bucket scheduling substrate
-//!   (`--scheduler packets`): typed packets in dependency-ordered buckets
-//!   with deterministic least-loaded stealing.
+//! * [`packets`] — the GC schedule engine: every phase as typed packets
+//!   in buckets, under the barrier or the overlapping-packets bucket
+//!   policy (`--scheduler`).
+//! * [`scheduler`] — the deterministic virtual-time worker clocks the
+//!   engine drives.
 //! * [`stats`] — per-phase and per-cycle accounting behind every figure.
 //! * [`collector`] — the [`Collector`] trait baselines also implement.
 //! * [`applicability`] — Table I as code.
@@ -67,7 +67,7 @@ pub use recovery::{
     RecoverySuccess,
 };
 pub use resilience::{execute_swaps, RetryPolicy, SwapOutcome};
-pub use scheduler::{Placement, WorkerPool};
+pub use scheduler::WorkerPool;
 pub use stats::{GcCycleStats, GcLog, PhaseBreakdown};
 pub use tier::{TierController, TierCtlStats, TierMode, TierPolicy};
 pub use watchdog::GcWatchdog;

@@ -16,33 +16,23 @@
 //!
 //! Execution is host-sequential in ascending address order (which is what
 //! makes sliding safe) while cycle costs are attributed to simulated
-//! workers via [`WorkerPool`] — see that module for the model.
+//! workers: each phase is a bucket of typed packets run through the
+//! [`PacketScheduler`], whose bucket policy ([`crate::SchedulerKind`])
+//! decides whether buckets meet at barriers or overlap — see
+//! [`crate::packets`] for the model.
 
-use crate::config::{GcConfig, SchedulerKind};
+use crate::config::GcConfig;
 use crate::degrade::DegradeController;
 use crate::error::GcError;
 use crate::journal::CompactionJournal;
 use crate::packets::{chunk_ranges, PacketKind, PacketScheduler, PacketTicket, MARK_CHUNK};
 use crate::resilience::execute_swaps;
-use crate::scheduler::WorkerPool;
 use crate::stats::{GcCycleStats, GcLog};
 use crate::watchdog::GcWatchdog;
 use svagc_heap::{Heap, HeapError, HeapVerifier, MarkBitmap, ObjHeader, ObjRef, RootSet, VerifyReport};
 use svagc_kernel::{CoreId, FlushMode, Kernel, SwapBatch, SwapRequest, SwapVaOptions};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{VirtAddr, PAGE_SIZE};
-
-/// During an STW phase the victims of an IPI broadcast are the *other GC
-/// workers* — every naive per-call shootdown stalls all of them for one
-/// interrupt handling. (`interference` is total remote cycles across all
-/// cores; each worker core absorbs its per-core share.)
-fn stall_coworkers(pool: &mut WorkerPool, kernel: &Kernel, interference: Cycles) {
-    if interference.get() == 0 {
-        return;
-    }
-    let peers = (kernel.cores() as u64 - 1).max(1);
-    pool.charge_all(interference / peers);
-}
 
 /// A LISP2 mark-compact collector (SVAGC when `cfg.use_swapva`).
 #[derive(Debug)]
@@ -301,6 +291,27 @@ impl Lisp2Collector {
     /// One collection attempt (no transaction bracketing — `collect` owns
     /// that). Partial phase makespans accumulate into `stats` even on
     /// error, so an abort can account the time the attempt burned.
+    ///
+    /// The four phases are buckets of one [`PacketScheduler`] whose bucket
+    /// policy is `cfg.scheduler` (see [`crate::packets`]). Functional
+    /// effects execute host-sequentially in heap order under either
+    /// policy — the same heap mutations — and only time is scheduled:
+    ///
+    /// * **mark-roots** → **mark-chunk**: a chunk is ready when the
+    ///   packets that discovered its objects complete.
+    /// * **forward-range**: ranges are mutually independent once marking
+    ///   is done (the destination cursor is a prefix sum of live sizes a
+    ///   real implementation computes in a cheap size-scan pass; see
+    ///   DESIGN.md §13), so every range is ready at the mark milestone.
+    /// * **adjust-range / adjust-roots**: ready at the forward milestone.
+    /// * **compact-batch**: ready when (a) forwarding is done and (b)
+    ///   every adjust packet that touched the batch's region — fields it
+    ///   copies, forwarding words it swaps away or overwrites — has
+    ///   completed. Under the packets policy, workers that finish
+    ///   adjusting early therefore flow straight into compaction while
+    ///   the slowest adjust packet is still running; the barrier policy
+    ///   opens each bucket only after the previous one drains, so it
+    ///   needs no dependency tracking.
     fn try_collect(
         &mut self,
         kernel: &mut Kernel,
@@ -310,25 +321,37 @@ impl Lisp2Collector {
         stats: &mut GcCycleStats,
         premark: Option<&Premark>,
     ) -> Result<(), GcError> {
-        if self.cfg.scheduler == SchedulerKind::Packets {
-            return self.try_collect_packets(kernel, heap, roots, watchdog, stats, premark);
-        }
         let cycle_start = self.timeline;
         let cores = kernel.cores();
         let threads = self.cfg.gc_threads.min(cores).max(1);
-        let mut pool = WorkerPool::with_core_base(threads, self.cfg.core_base);
+        let compact_workers = self
+            .cfg
+            .compact_threads
+            .unwrap_or(threads)
+            .min(cores)
+            .max(1);
+        let mut sched = PacketScheduler::new(
+            self.cfg.scheduler,
+            threads.max(compact_workers),
+            cores,
+            self.cfg.core_base,
+            self.cfg.work_stealing,
+            cycle_start,
+        );
         let objects: Vec<ObjRef> = heap.objects_sorted().to_vec();
         let verifier = HeapVerifier::new();
         let faults_before = kernel.perf.swap_faults_injected;
 
-        // ---- Phase I: mark -------------------------------------------
+        // ---- Bucket 1: mark ------------------------------------------
+        sched.open(Cycles::ZERO, threads);
         let bitmap = match premark {
             Some(pm) => {
-                // The trace already ran off-pause; charge only the STW
-                // portion here. The SATB bitmap may strictly contain the
-                // snapshot's reachable set (floating garbage), so the
-                // exact-reachability verify_marks check does not apply —
-                // forwarding and post-compact verification still run.
+                // The trace already ran off-pause; the bucket collapses to
+                // the STW charge (initial mark + SATB drain). The SATB
+                // bitmap may strictly contain the snapshot's reachable set
+                // (floating garbage), so the exact-reachability
+                // verify_marks check does not apply — forwarding and
+                // post-compact verification still run.
                 stats.phases.mark = pm.stw_mark;
                 stats.concurrent_mark = pm.concurrent_mark;
                 stats.satb_logged = pm.satb_logged;
@@ -337,8 +360,28 @@ impl Lisp2Collector {
             }
             None => {
                 let mut bitmap = MarkBitmap::new(heap.base(), heap.extent_words());
-                self.mark_phase(kernel, heap, roots, &mut bitmap, &mut pool)?;
-                stats.phases.mark = pool.makespan();
+                // Root scanning is uncosted; the packet is the ordering
+                // point stamping the roots' discovery.
+                let mut stack = Vec::new();
+                let tk = sched.begin_vm(PacketKind::MarkRoots, Cycles::ZERO);
+                for r in roots.iter_live() {
+                    // Roots outside this heap (e.g. nursery objects during
+                    // an old-generation-only collection) are not ours.
+                    if heap.contains(r.0) && bitmap.mark(r.header_va()) {
+                        stack.push((r, tk.start));
+                    }
+                }
+                sched.finish(&mut kernel.trace, tk, Cycles::ZERO, stack.len() as u64);
+                trace_closure(
+                    &mut sched,
+                    kernel,
+                    heap,
+                    &mut bitmap,
+                    &mut stack,
+                    PacketKind::MarkChunk,
+                    |va| heap.contains(va),
+                )?;
+                stats.phases.mark = sched.close();
                 bitmap
             }
         };
@@ -346,44 +389,304 @@ impl Lisp2Collector {
         if self.cfg.verify_phases && premark.is_none() {
             Self::require_clean(verifier.verify_marks(kernel, heap, &bitmap, roots), stats)?;
         }
+        let t_mark = stats.phases.mark;
 
-        // ---- Phase II: forwarding address calculation ----------------
-        pool.reset();
-        let (moves, new_top) =
-            self.forward_phase(kernel, heap, &objects, &bitmap, &mut pool, stats)?;
-        stats.phases.forward = pool.makespan();
+        // ---- Bucket 2: forwarding address calculation ----------------
+        sched.open(t_mark, threads);
+        let mut comp_pnt = heap.base();
+        let mut moves: Vec<PlannedMove> = Vec::new();
+        for (s, e) in sched.ranges(objects.len(), |_| true) {
+            let tk = sched.begin(PacketKind::ForwardRange, t_mark);
+            let core = sched.core(&tk);
+            let mut t = Cycles::ZERO;
+            for &obj in &objects[s..e] {
+                // Heap parsing touches every header, live or dead.
+                let (hdr, ht) = heap.read_header(kernel, core, obj)?;
+                t += ht;
+                if bitmap.is_marked(obj.header_va()) {
+                    // IFSWAPALIGN before and after (Algorithm 3 lines 22/25).
+                    if hdr.is_large() {
+                        comp_pnt = comp_pnt.align_up();
+                    }
+                    let dst = ObjRef(comp_pnt);
+                    comp_pnt = comp_pnt + hdr.size_bytes();
+                    if hdr.is_large() {
+                        comp_pnt = comp_pnt.align_up();
+                    }
+                    t += kernel.write_word(heap.space(), core, obj.forwarding_va(), dst.0.get())?;
+                    stats.live_bytes += hdr.size_bytes();
+                    moves.push(PlannedMove {
+                        src: obj,
+                        dst,
+                        header: hdr,
+                    });
+                }
+            }
+            sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
+        }
+        let new_top = comp_pnt;
+        let t_fwd = sched.close();
+        stats.phases.forward = t_fwd - t_mark;
         watchdog.check("forward", stats.phases.forward)?;
         if self.cfg.verify_phases {
             Self::require_clean(verifier.verify_forwarding(kernel, heap, &bitmap), stats)?;
         }
 
-        // ---- Phase III: adjust pointers ------------------------------
-        pool.reset();
-        self.adjust_phase(kernel, heap, roots, &moves, &mut pool)?;
-        stats.phases.adjust = pool.makespan();
+        // ---- Bucket 3: adjust pointers -------------------------------
+        // Overlapping buckets track which compact batch every adjust
+        // access constrains; `conflicts` collects one packet's batches.
+        let mut deps = sched
+            .overlaps()
+            .then(|| BatchDeps::new(&moves, compact_workers));
+        let mut conflicts: Vec<usize> = Vec::new();
+        sched.open(t_fwd, threads);
+        for (s, e) in sched.ranges(moves.len(), |i| moves[i].header.num_refs > 0) {
+            let tk = sched.begin(PacketKind::AdjustRange, t_fwd);
+            let core = sched.core(&tk);
+            let mut t = Cycles::ZERO;
+            for (idx, m) in moves.iter().enumerate().take(e).skip(s) {
+                if m.header.num_refs == 0 {
+                    continue;
+                }
+                // Field writes at the object's source: its batch must not
+                // copy the data before they land.
+                if let Some(d) = &deps {
+                    conflicts.push(d.batch_of_move[idx]);
+                }
+                for i in 0..m.header.num_refs as u64 {
+                    let (tgt, tc) = heap.read_ref(kernel, core, m.src, i)?;
+                    t += tc;
+                    // Out-of-heap targets (nursery objects) don't move here.
+                    if tgt.is_null() || !heap.contains(tgt.0) {
+                        continue;
+                    }
+                    let (fwd, fc) = kernel.read_word(heap.space(), core, tgt.forwarding_va())?;
+                    t += fc;
+                    t += heap.write_ref(kernel, core, m.src, i, ObjRef(VirtAddr(fwd)))?;
+                    if let Some(d) = &deps {
+                        d.read_forwarding(&moves, tgt, &mut conflicts);
+                    }
+                }
+            }
+            let done = sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
+            if let Some(d) = &mut deps {
+                d.resolve(&mut conflicts, done);
+            }
+        }
+        {
+            // Root slots: the VM thread's packet.
+            let tk = sched.begin_vm(PacketKind::AdjustRoots, t_fwd);
+            let core = sched.core(&tk);
+            let mut t = Cycles::ZERO;
+            let mut slots = 0u64;
+            for slot in roots.slots_mut() {
+                if slot.is_null() || !heap.contains(slot.0) {
+                    continue;
+                }
+                let (fwd, fc) = kernel.read_word(heap.space(), core, slot.forwarding_va())?;
+                t += fc;
+                if let Some(d) = &deps {
+                    d.read_forwarding(&moves, *slot, &mut conflicts);
+                }
+                *slot = ObjRef(VirtAddr(fwd));
+                slots += 1;
+            }
+            let done = sched.finish(&mut kernel.trace, tk, t, slots);
+            if let Some(d) = &mut deps {
+                d.resolve(&mut conflicts, done);
+            }
+        }
+        let t_adj = sched.close();
+        stats.phases.adjust = t_adj - t_fwd;
         watchdog.check("adjust", stats.phases.adjust)?;
         if self.cfg.verify_phases {
             // Adjust rewrites fields but must leave the move plan intact.
             Self::require_clean(verifier.verify_forwarding(kernel, heap, &bitmap), stats)?;
         }
 
-        // ---- Phase IV: compaction ------------------------------------
-        let compact_workers = self
-            .cfg
-            .compact_threads
-            .unwrap_or(threads)
-            .min(cores)
-            .max(1);
-        let mut compact_pool = WorkerPool::with_core_base(compact_workers, self.cfg.core_base);
-        // Kernel-side trace events (SwapVA spans, shootdowns, fallbacks)
-        // are positioned relative to the tracer base; anchor it where the
-        // compact phase begins on the cumulative GC timeline so they nest
-        // under this cycle's CompactPhase span.
-        self.timeline =
-            cycle_start + stats.phases.mark + stats.phases.forward + stats.phases.adjust;
-        kernel.trace.set_base(self.timeline);
-        self.compact_phase(kernel, heap, &moves, &mut compact_pool, watchdog, stats)?;
-        stats.phases.compact = compact_pool.makespan();
+        // ---- Bucket 4: compaction (`COMPACTOPT` + `MOVEOBJECT`) -------
+        let threshold_bytes = heap.threshold_pages() * PAGE_SIZE;
+        // Algorithm 4's local-only flush is sound for exactly one pinned
+        // compactor running alone: every translation it caches lives on
+        // the core it flushes. With parallel movers — or overlapping
+        // buckets, where other workers may still be adjusting — that
+        // precondition fails: worker X reads a forwarding word, worker Y's
+        // batch remaps the page with a local flush on Y, and X's next read
+        // translates through the dead entry (the stale-TLB oracle catches
+        // this on real workloads). Those schedules use access-tracked
+        // shootdowns: each swap IPIs precisely the cores still holding the
+        // ASID — a subset of the GC workers once the prologue broadcast has
+        // run, so other JVMs' cores are still never interrupted.
+        let flush_mode = if !self.cfg.pinned_compaction {
+            FlushMode::GlobalBroadcast
+        } else if compact_workers > 1 || sched.overlaps() {
+            FlushMode::Tracked
+        } else {
+            FlushMode::LocalOnly
+        };
+        let swap_opts = SwapVaOptions {
+            pmd_cache: self.cfg.pmd_cache,
+            overlap_opt: self.cfg.overlap_opt,
+            flush: flush_mode,
+        };
+        // Will any move actually go through SwapVA this cycle? The pinning
+        // protocol's broadcasts only pay for themselves when PTEs change.
+        let any_swaps = self.cfg.use_swapva
+            && moves.iter().any(|m| {
+                m.src != m.dst
+                    && m.header.size_bytes() >= threshold_bytes
+                    && m.src.0.is_page_aligned()
+                    && m.dst.0.is_page_aligned()
+            });
+
+        if self.cfg.pinned_compaction && any_swaps {
+            // Algorithm 4 prologue: pin workers, broadcast the shootdown
+            // once so every core sees fresh mappings from here on. Its
+            // cost is shootdown overhead, not worker time; on the trace it
+            // sits at the adjust milestone.
+            kernel.trace.set_base(cycle_start + t_adj);
+            let asid = heap.space().asid();
+            let pin_cost = kernel.pin(sched.core_of(0));
+            let (bcast, intf) = kernel.flush_asid_all_cores(sched.core_of(0), asid);
+            stats.phases.shootdown += pin_cost + bcast;
+            stats.interference += intf.0;
+            // The broadcast is infallible by signature; a seeded mid-IPI
+            // crash latches instead, and the phase must stop here.
+            if let Some(point) = kernel.crashed() {
+                return Err(GcError::Crashed { point });
+            }
+        }
+
+        sched.open(t_adj, compact_workers);
+        // Aggregation buffer: a run of consecutive swap-eligible moves,
+        // flushed as one syscall (Fig. 5b). Any intervening memmove flushes
+        // it first to preserve ascending-order safety. Under the barrier
+        // policy one buffer spans the bucket; overlapping packets each own
+        // theirs.
+        let mut batch = SwapBatch::new(
+            self.cfg.aggregation.unwrap_or(1),
+            8 * heap.threshold_pages().max(1),
+        );
+        let batch_ready = deps.map(|d| d.ready).unwrap_or_default();
+        for (bi, (s, e)) in sched.ranges(moves.len(), |_| true).enumerate() {
+            // Intra-bucket sliding safety is the ascending-order claiming
+            // of the paper's parallel LISP2; the packet edges add the
+            // cross-bucket constraint that a batch may not run until every
+            // adjust packet that read or wrote its region is done.
+            let ready = batch_ready.get(bi).map_or(t_adj, |&r| r.max(t_fwd));
+            let mut tk = sched.begin(PacketKind::CompactBatch, ready);
+            let core = sched.core(&tk);
+            let pkt_base = cycle_start + tk.start;
+            let mut t = Cycles::ZERO;
+            for m in &moves[s..e] {
+                // Kernel events for this move start at the worker's
+                // current virtual-clock position.
+                kernel.trace.set_base(pkt_base + t);
+                // Read the forwarding word at the source (Algorithm 4 line 9).
+                let (_, fc) = kernel.read_word(heap.space(), core, m.src.forwarding_va())?;
+                t += fc;
+                kernel.trace.advance(fc);
+                let size = m.header.size_bytes();
+                if m.src == m.dst {
+                    continue;
+                }
+                let pages = size.div_ceil(PAGE_SIZE);
+                let swappable = self.cfg.use_swapva
+                    && pages >= heap.threshold_pages()
+                    && m.src.0.is_page_aligned()
+                    && m.dst.0.is_page_aligned()
+                    && size >= threshold_bytes;
+                let overlap_unsupported = !self.cfg.overlap_opt
+                    && m.src.0.get().abs_diff(m.dst.0.get()) < pages * PAGE_SIZE;
+                if swappable && !overlap_unsupported {
+                    let req = SwapRequest {
+                        a: m.src.0,
+                        b: m.dst.0,
+                        pages,
+                    };
+                    stats.swapped_objects += 1;
+                    stats.swapped_bytes += size;
+                    if batch.push(req, size) {
+                        t += self.flush_batch(
+                            kernel, heap, &mut batch, swap_opts, &mut tk, core, stats,
+                        )?;
+                        // Mid-bucket deadline check: the watchdog can abort
+                        // a runaway compaction between batches, not only
+                        // at bucket milestones.
+                        watchdog.check("compact", sched.elapsed(&tk, t))?;
+                    }
+                } else {
+                    // memmove path: drain pending swaps first (ordering).
+                    t += self
+                        .flush_batch(kernel, heap, &mut batch, swap_opts, &mut tk, core, stats)?;
+                    watchdog.check("compact", sched.elapsed(&tk, t))?;
+                    t += kernel.memmove(heap.space(), core, m.src.0, m.dst.0, size)?;
+                    stats.memmove_bytes += size;
+                }
+                stats.moved_objects += 1;
+                kernel.perf.objects_moved += 1;
+            }
+            if sched.overlaps() {
+                // The packet drains its own batch and owns its
+                // destinations' forwarding-word clears: no later batch
+                // reads below its own destination cursor, so the clears
+                // need no cross-batch barrier.
+                t += self.flush_batch(kernel, heap, &mut batch, swap_opts, &mut tk, core, stats)?;
+                for m in &moves[s..e] {
+                    t += kernel.write_word(heap.space(), core, m.dst.forwarding_va(), 0)?;
+                }
+            }
+            sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
+        }
+        if !sched.overlaps() {
+            // Barrier tail: the least-loaded worker drains the bucket-wide
+            // batch.
+            if !batch.is_empty() {
+                let mut tk = sched.begin_any(PacketKind::CompactBatch);
+                let core = sched.core(&tk);
+                kernel.trace.set_base(cycle_start + tk.start);
+                let c =
+                    self.flush_batch(kernel, heap, &mut batch, swap_opts, &mut tk, core, stats)?;
+                sched.finish(&mut kernel.trace, tk, c, 0);
+            }
+            // Workers resynchronize at the barrier: each flushes its own
+            // TLB so the forwarding-word clears below cannot read mappings
+            // staled by *other* workers' swaps. Tracked swaps already IPI
+            // every holder, so only the local-only protocol needs this.
+            if any_swaps && flush_mode == FlushMode::LocalOnly {
+                let asid = heap.space().asid();
+                let worst = sched
+                    .bucket_cores()
+                    .map(|c| kernel.flush_tlb_local(c, asid))
+                    .fold(Cycles::ZERO, Cycles::max);
+                sched.charge_all(worst);
+            }
+            // Clear forwarding words at the destinations.
+            for m in &moves {
+                let tk = sched.begin_any(PacketKind::CompactBatch);
+                let t =
+                    kernel.write_word(heap.space(), sched.core(&tk), m.dst.forwarding_va(), 0)?;
+                sched.finish(&mut kernel.trace, tk, t, 1);
+            }
+        }
+        let t_end = sched.close();
+
+        if self.cfg.pinned_compaction && any_swaps {
+            // Algorithm 4 epilogue: unpin; mutators get fresh TLBs via one
+            // final broadcast (the post-GC cost §V-C mentions).
+            kernel.trace.set_base(cycle_start + t_end);
+            let asid = heap.space().asid();
+            let (bcast, intf) = kernel.flush_asid_all_cores(sched.core_of(0), asid);
+            let unpin = kernel.unpin();
+            stats.phases.shootdown += bcast + unpin;
+            stats.interference += intf.0;
+            if let Some(point) = kernel.crashed() {
+                return Err(GcError::Crashed { point });
+            }
+        }
+        kernel.perf.objects_swapped += stats.swapped_objects;
+        kernel.perf.gc_cycles += 1;
+        stats.phases.compact = t_end - t_adj;
         watchdog.check("compact", stats.phases.compact)?;
 
         // Publish the new heap layout.
@@ -394,8 +697,10 @@ impl Lisp2Collector {
         if self.cfg.verify_phases {
             Self::require_clean(verifier.verify_post_compact(kernel, heap, roots), stats)?;
         }
-
         stats.faults_injected = kernel.perf.swap_faults_injected - faults_before;
+        stats.sched_packets = sched.stats.packets;
+        stats.sched_steals = sched.stats.steals;
+        stats.sched_steal_cycles = sched.stats.steal_cycles;
 
         self.emit_phase_spans(kernel, cycle_start, stats, objects.len() as u64);
         Ok(())
@@ -403,9 +708,9 @@ impl Lisp2Collector {
 
     /// Emit the cycle's phase spans on the cumulative GC timeline (tid 0 =
     /// the VM/GC coordinator lane; per-core kernel events carry their own
-    /// tids) and advance the timeline past this cycle. Under the packet
-    /// scheduler the four "phases" are the bucket milestone deltas, so the
-    /// same additive span layout holds.
+    /// tids) and advance the timeline past this cycle. The four "phases"
+    /// are the bucket milestone deltas, so the spans add up under either
+    /// bucket policy.
     fn emit_phase_spans(
         &mut self,
         kernel: &mut Kernel,
@@ -454,490 +759,6 @@ impl Lisp2Collector {
         kernel.trace.set_base(self.timeline);
     }
 
-    /// Emit one packet's trace span at its absolute schedule position,
-    /// on the executing core's lane.
-    fn emit_packet(
-        kernel: &mut Kernel,
-        sched: &PacketScheduler,
-        cycle_start: Cycles,
-        ticket: &PacketTicket,
-        cost: Cycles,
-        items: u64,
-    ) {
-        sched.emit_span(&mut kernel.trace, cycle_start, ticket, cost, items);
-    }
-
-    /// One collection attempt under the **work-packet scheduler**
-    /// (`--scheduler packets`).
-    ///
-    /// Functional effects still execute host-sequentially in heap order —
-    /// exactly the same heap mutations as the barrier path — but *time*
-    /// is scheduled as typed packets in dependency-ordered buckets:
-    ///
-    /// * **mark-roots** → **mark-chunk**: a chunk is ready when the
-    ///   packets that discovered its objects complete.
-    /// * **forward-range**: ranges are mutually independent once marking
-    ///   is done (the destination cursor is a prefix sum of live sizes a
-    ///   real implementation computes in a cheap size-scan pass; see
-    ///   DESIGN.md §13), so every range is ready at the mark milestone.
-    /// * **adjust-range / adjust-roots**: ready at the forward milestone.
-    /// * **compact-batch**: ready when (a) forwarding is done and (b)
-    ///   every adjust packet that touched the batch's region — fields it
-    ///   copies, forwarding words it swaps away or overwrites — has
-    ///   completed. Workers that finish adjusting early therefore flow
-    ///   straight into compaction while the slowest adjust packet is
-    ///   still running — the overlap the four global barriers forbid.
-    ///
-    /// Compaction always uses access-tracked shootdowns here: buckets
-    /// overlap in virtual time, so another worker may still be adjusting
-    /// (and translating) while a batch swaps PTEs; `FlushMode::Tracked`
-    /// IPIs exactly the cores holding the ASID, which stays confined to
-    /// this collector's pinned workers.
-    fn try_collect_packets(
-        &mut self,
-        kernel: &mut Kernel,
-        heap: &mut Heap,
-        roots: &mut RootSet,
-        watchdog: &mut GcWatchdog,
-        stats: &mut GcCycleStats,
-        premark: Option<&Premark>,
-    ) -> Result<(), GcError> {
-        let cycle_start = self.timeline;
-        let cores = kernel.cores();
-        let threads = self.cfg.gc_threads.min(cores).max(1);
-        let mut sched = PacketScheduler::new(threads, cores, self.cfg.core_base);
-        let objects: Vec<ObjRef> = heap.objects_sorted().to_vec();
-        let verifier = HeapVerifier::new();
-        let faults_before = kernel.perf.swap_faults_injected;
-
-        if let Some(pm) = premark {
-            // Concurrent premark: bucket 1 collapses to the STW charge
-            // (initial mark + SATB drain); forward packets become ready at
-            // that milestone, exactly as they would at the mark milestone.
-            stats.phases.mark = pm.stw_mark;
-            stats.concurrent_mark = pm.concurrent_mark;
-            stats.satb_logged = pm.satb_logged;
-            stats.interference += pm.concurrent_mark;
-            watchdog.check("mark", stats.phases.mark)?;
-            return self.finish_packets_cycle(
-                kernel,
-                heap,
-                roots,
-                watchdog,
-                stats,
-                &pm.bitmap,
-                pm.stw_mark,
-                cycle_start,
-                sched,
-                objects,
-                faults_before,
-            );
-        }
-
-        // ---- Bucket 1: mark ------------------------------------------
-        let mut bitmap = MarkBitmap::new(heap.base(), heap.extent_words());
-        // Each stack entry carries its discovery time: the completion of
-        // the packet that found it.
-        let mut stack: Vec<(ObjRef, Cycles)> = Vec::new();
-        let mut t_mark;
-        {
-            // Root scanning is uncosted in the barrier path too; the
-            // packet is the ordering point stamping the roots' discovery.
-            let ticket = sched.begin(PacketKind::MarkRoots, Cycles::ZERO);
-            let done = sched.finish(ticket, Cycles::ZERO);
-            let mut seeded = 0u64;
-            for r in roots.iter_live() {
-                if heap.contains(r.0) && bitmap.mark(r.header_va()) {
-                    stack.push((r, done));
-                    seeded += 1;
-                }
-            }
-            Self::emit_packet(kernel, &sched, cycle_start, &ticket, Cycles::ZERO, seeded);
-            t_mark = done;
-        }
-        while !stack.is_empty() {
-            let take = stack.len().min(MARK_CHUNK);
-            let chunk: Vec<(ObjRef, Cycles)> = stack.split_off(stack.len() - take);
-            let ready = chunk
-                .iter()
-                .map(|&(_, d)| d)
-                .fold(Cycles::ZERO, Cycles::max);
-            let ticket = sched.begin(PacketKind::MarkChunk, ready);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            let mut discovered: Vec<ObjRef> = Vec::new();
-            for &(obj, _) in &chunk {
-                let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-                t += ht;
-                for i in 0..hdr.num_refs as u64 {
-                    let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                    t += tc;
-                    if !tgt.is_null() && heap.contains(tgt.0) && bitmap.mark(tgt.header_va()) {
-                        discovered.push(tgt);
-                    }
-                }
-            }
-            let done = sched.finish(ticket, t);
-            Self::emit_packet(kernel, &sched, cycle_start, &ticket, t, take as u64);
-            for d in discovered {
-                stack.push((d, done));
-            }
-            t_mark = t_mark.max(done);
-        }
-        stats.phases.mark = t_mark;
-        watchdog.check("mark", stats.phases.mark)?;
-        if self.cfg.verify_phases {
-            Self::require_clean(verifier.verify_marks(kernel, heap, &bitmap, roots), stats)?;
-        }
-        self.finish_packets_cycle(
-            kernel,
-            heap,
-            roots,
-            watchdog,
-            stats,
-            &bitmap,
-            t_mark,
-            cycle_start,
-            sched,
-            objects,
-            faults_before,
-        )
-    }
-
-    /// Buckets 2-4 of the packet-scheduled cycle (forward, adjust,
-    /// compact), shared by the STW path (after its mark bucket) and the
-    /// concurrent path (which replaces the mark bucket with the SATB
-    /// premark's STW charge).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_packets_cycle(
-        &mut self,
-        kernel: &mut Kernel,
-        heap: &mut Heap,
-        roots: &mut RootSet,
-        watchdog: &mut GcWatchdog,
-        stats: &mut GcCycleStats,
-        bitmap: &MarkBitmap,
-        t_mark: Cycles,
-        cycle_start: Cycles,
-        mut sched: PacketScheduler,
-        objects: Vec<ObjRef>,
-        faults_before: u64,
-    ) -> Result<(), GcError> {
-        let cores = kernel.cores();
-        let threads = self.cfg.gc_threads.min(cores).max(1);
-        let peers = (cores as u64 - 1).max(1);
-        let verifier = HeapVerifier::new();
-
-        // ---- Bucket 2: forward ---------------------------------------
-        let mut comp_pnt = heap.base();
-        let mut moves: Vec<PlannedMove> = Vec::new();
-        let mut t_fwd = t_mark;
-        for (s, e) in chunk_ranges(objects.len(), threads) {
-            let ticket = sched.begin(PacketKind::ForwardRange, t_mark);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            for &obj in &objects[s..e] {
-                let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-                t += ht;
-                if bitmap.is_marked(obj.header_va()) {
-                    if hdr.is_large() {
-                        comp_pnt = comp_pnt.align_up();
-                    }
-                    let dst = ObjRef(comp_pnt);
-                    comp_pnt = comp_pnt + hdr.size_bytes();
-                    if hdr.is_large() {
-                        comp_pnt = comp_pnt.align_up();
-                    }
-                    t += kernel.write_word(heap.space(), core, obj.forwarding_va(), dst.0.get())?;
-                    stats.live_bytes += hdr.size_bytes();
-                    moves.push(PlannedMove {
-                        src: obj,
-                        dst,
-                        header: hdr,
-                    });
-                }
-            }
-            let done = sched.finish(ticket, t);
-            Self::emit_packet(kernel, &sched, cycle_start, &ticket, t, (e - s) as u64);
-            t_fwd = t_fwd.max(done);
-        }
-        let new_top = comp_pnt;
-        stats.phases.forward = Cycles(t_fwd.get().saturating_sub(t_mark.get()));
-        watchdog.check("forward", stats.phases.forward)?;
-        if self.cfg.verify_phases {
-            Self::require_clean(verifier.verify_forwarding(kernel, heap, bitmap), stats)?;
-        }
-
-        // ---- Compact-batch partition (needed before adjust: conflict
-        // tracking maps every adjust access to the batch it constrains) --
-        let batch_bounds = chunk_ranges(moves.len(), threads);
-        let n_batches = batch_bounds.len();
-        // Destination span of each batch: [first dst, last dst + size).
-        let dst_spans: Vec<(u64, u64)> = batch_bounds
-            .iter()
-            .map(|&(s, e)| {
-                let last = &moves[e - 1];
-                (moves[s].dst.0.get(), last.dst.0.get() + last.header.size_bytes())
-            })
-            .collect();
-        // Move index -> owning batch.
-        let mut batch_of_move = vec![0usize; moves.len()];
-        for (bi, &(s, e)) in batch_bounds.iter().enumerate() {
-            for b in batch_of_move.iter_mut().take(e).skip(s) {
-                *b = bi;
-            }
-        }
-        // The batch whose destination range covers `va` (the one that will
-        // overwrite it), if any.
-        let dst_batch_covering = |va: u64| -> Option<usize> {
-            let i = dst_spans.partition_point(|&(lo, _)| lo <= va);
-            if i == 0 {
-                return None;
-            }
-            let bi = i - 1;
-            (va < dst_spans[bi].1).then_some(bi)
-        };
-        // The move whose source object sits at `src` (moves are in
-        // ascending source order), if any.
-        let move_at = |src: VirtAddr| -> Option<usize> {
-            moves.binary_search_by(|m| m.src.0.cmp(&src)).ok()
-        };
-
-        // ---- Bucket 3: adjust ----------------------------------------
-        // `batch_ready[b]` accumulates the completion of every adjust
-        // packet whose accesses land in batch b's way.
-        let mut batch_ready: Vec<Cycles> = vec![Cycles::ZERO; n_batches];
-        let mut t_adj = t_fwd;
-        let fold = |conflicts: &[usize], done: Cycles, ready: &mut [Cycles]| {
-            for &b in conflicts {
-                ready[b] = ready[b].max(done);
-            }
-        };
-        for (s, e) in chunk_ranges(moves.len(), threads) {
-            let ticket = sched.begin(PacketKind::AdjustRange, t_fwd);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            let mut conflicts: Vec<usize> = Vec::new();
-            for (idx, m) in moves.iter().enumerate().take(e).skip(s) {
-                if m.header.num_refs == 0 {
-                    continue;
-                }
-                // Field writes at the object's source: its batch must not
-                // copy the data before they land.
-                conflicts.push(batch_of_move[idx]);
-                for i in 0..m.header.num_refs as u64 {
-                    let (tgt, tc) = heap.read_ref(kernel, core, m.src, i)?;
-                    t += tc;
-                    if tgt.is_null() || !heap.contains(tgt.0) {
-                        continue;
-                    }
-                    let (fwd, fc) = kernel.read_word(heap.space(), core, tgt.forwarding_va())?;
-                    t += fc;
-                    t += heap.write_ref(kernel, core, m.src, i, ObjRef(VirtAddr(fwd)))?;
-                    // The forwarding word lives at the target's *old*
-                    // address: the target's own batch swaps it away, and
-                    // the batch whose destinations cover it overwrites it.
-                    if let Some(ti) = move_at(tgt.0) {
-                        conflicts.push(batch_of_move[ti]);
-                    }
-                    if let Some(b) = dst_batch_covering(tgt.forwarding_va().get()) {
-                        conflicts.push(b);
-                    }
-                }
-            }
-            let done = sched.finish(ticket, t);
-            Self::emit_packet(kernel, &sched, cycle_start, &ticket, t, (e - s) as u64);
-            fold(&conflicts, done, &mut batch_ready);
-            t_adj = t_adj.max(done);
-        }
-        {
-            // Root slots: one packet for the VM thread's scan.
-            let ticket = sched.begin(PacketKind::AdjustRoots, t_fwd);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            let mut conflicts: Vec<usize> = Vec::new();
-            let mut slots = 0u64;
-            for slot in roots.slots_mut() {
-                if slot.is_null() || !heap.contains(slot.0) {
-                    continue;
-                }
-                let (fwd, fc) = kernel.read_word(heap.space(), core, slot.forwarding_va())?;
-                t += fc;
-                if let Some(ti) = move_at(slot.0) {
-                    conflicts.push(batch_of_move[ti]);
-                }
-                if let Some(b) = dst_batch_covering(slot.forwarding_va().get()) {
-                    conflicts.push(b);
-                }
-                *slot = ObjRef(VirtAddr(fwd));
-                slots += 1;
-            }
-            let done = sched.finish(ticket, t);
-            Self::emit_packet(kernel, &sched, cycle_start, &ticket, t, slots);
-            fold(&conflicts, done, &mut batch_ready);
-            t_adj = t_adj.max(done);
-        }
-        stats.phases.adjust = Cycles(t_adj.get().saturating_sub(t_fwd.get()));
-        watchdog.check("adjust", stats.phases.adjust)?;
-        if self.cfg.verify_phases {
-            Self::require_clean(verifier.verify_forwarding(kernel, heap, bitmap), stats)?;
-        }
-
-        // ---- Bucket 4: compact ---------------------------------------
-        let threshold_bytes = heap.threshold_pages() * PAGE_SIZE;
-        // Buckets overlap in virtual time, so a batch's PTE swaps can race
-        // other workers' cached translations: always shoot down by access
-        // tracking (IPIs reach exactly the ASID holders — this collector's
-        // pinned workers, never other tenants' cores).
-        let flush_mode = if !self.cfg.pinned_compaction {
-            FlushMode::GlobalBroadcast
-        } else {
-            FlushMode::Tracked
-        };
-        let swap_opts = SwapVaOptions {
-            pmd_cache: self.cfg.pmd_cache,
-            overlap_opt: self.cfg.overlap_opt,
-            flush: flush_mode,
-        };
-        let any_swaps = self.cfg.use_swapva
-            && moves.iter().any(|m| {
-                m.src != m.dst
-                    && m.header.size_bytes() >= threshold_bytes
-                    && m.src.0.is_page_aligned()
-                    && m.dst.0.is_page_aligned()
-            });
-
-        if self.cfg.pinned_compaction && any_swaps {
-            // Algorithm 4 prologue, positioned at the adjust milestone on
-            // the trace (its cost is shootdown overhead, not worker time).
-            kernel.trace.set_base(cycle_start + t_adj);
-            let asid = heap.space().asid();
-            let pin_cost = kernel.pin(sched.pool().core_of(0, cores));
-            let (bcast, intf) = kernel.flush_asid_all_cores(sched.pool().core_of(0, cores), asid);
-            stats.phases.shootdown += pin_cost + bcast;
-            stats.interference += intf.0;
-            if let Some(point) = kernel.crashed() {
-                return Err(GcError::Crashed { point });
-            }
-        }
-
-        // Intra-bucket sliding safety is the same assumption the barrier
-        // compactor already makes for its parallel movers (ascending-order
-        // claiming, per the paper's parallel LISP2); what the packet edges
-        // add is the *finer cross-bucket* constraint — a batch may not run
-        // until every adjust packet that read or wrote its region is done —
-        // which is exactly the hazard the barrier scheduler could only
-        // express as a global phase barrier.
-        let mut t_end = t_adj;
-        for (bi, &(s, e)) in batch_bounds.iter().enumerate() {
-            let ready = batch_ready[bi].max(t_fwd);
-            let ticket = sched.begin(PacketKind::CompactBatch, ready);
-            let core = sched.core(&ticket);
-            let pkt_base = cycle_start + ticket.placement.start;
-            let mut t = Cycles::ZERO;
-            let mut intf_total = Cycles::ZERO;
-            let mut batch = SwapBatch::new(
-                self.cfg.aggregation.unwrap_or(1),
-                8 * heap.threshold_pages().max(1),
-            );
-            for m in &moves[s..e] {
-                kernel.trace.set_base(pkt_base + t);
-                let (_, fc) = kernel.read_word(heap.space(), core, m.src.forwarding_va())?;
-                t += fc;
-                kernel.trace.advance(fc);
-                let size = m.header.size_bytes();
-                if m.src != m.dst {
-                    let pages = size.div_ceil(PAGE_SIZE);
-                    let swappable = self.cfg.use_swapva
-                        && pages >= heap.threshold_pages()
-                        && m.src.0.is_page_aligned()
-                        && m.dst.0.is_page_aligned()
-                        && size >= threshold_bytes;
-                    let overlap_unsupported = !self.cfg.overlap_opt
-                        && m.src.0.get().abs_diff(m.dst.0.get()) < pages * PAGE_SIZE;
-                    if swappable && !overlap_unsupported {
-                        let req = SwapRequest {
-                            a: m.src.0,
-                            b: m.dst.0,
-                            pages,
-                        };
-                        stats.swapped_objects += 1;
-                        stats.swapped_bytes += size;
-                        if batch.push(req, size) {
-                            let (c, intf) =
-                                self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
-                            t += c;
-                            intf_total += intf;
-                            watchdog.check("compact", t)?;
-                        }
-                    } else {
-                        let (c, intf) =
-                            self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
-                        t += c;
-                        intf_total += intf;
-                        watchdog.check("compact", t)?;
-                        t += kernel.memmove(heap.space(), core, m.src.0, m.dst.0, size)?;
-                        stats.memmove_bytes += size;
-                    }
-                    stats.moved_objects += 1;
-                    kernel.perf.objects_moved += 1;
-                }
-            }
-            if !batch.is_empty() {
-                let (c, intf) = self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
-                t += c;
-                intf_total += intf;
-            }
-            // This packet owns its destinations' forwarding-word clears:
-            // no later batch reads below its own destination cursor, so
-            // the clears need no cross-batch barrier.
-            for m in &moves[s..e] {
-                t += kernel.write_word(heap.space(), core, m.dst.forwarding_va(), 0)?;
-            }
-            let done = sched.finish(ticket, t);
-            Self::emit_packet(kernel, &sched, cycle_start, &ticket, t, (e - s) as u64);
-            if intf_total.get() > 0 {
-                // Tracked IPIs stall the other pinned workers.
-                sched.charge_all(intf_total / peers);
-            }
-            t_end = t_end.max(done);
-        }
-        t_end = t_end.max(sched.makespan());
-
-        if self.cfg.pinned_compaction && any_swaps {
-            // Algorithm 4 epilogue.
-            kernel.trace.set_base(cycle_start + t_end);
-            let asid = heap.space().asid();
-            let (bcast, intf) = kernel.flush_asid_all_cores(sched.pool().core_of(0, cores), asid);
-            let unpin = kernel.unpin();
-            stats.phases.shootdown += bcast + unpin;
-            stats.interference += intf.0;
-            if let Some(point) = kernel.crashed() {
-                return Err(GcError::Crashed { point });
-            }
-        }
-        kernel.perf.objects_swapped += stats.swapped_objects;
-        kernel.perf.gc_cycles += 1;
-        stats.phases.compact = Cycles(t_end.get().saturating_sub(t_adj.get()));
-        watchdog.check("compact", stats.phases.compact)?;
-
-        // Publish the new heap layout.
-        let survivors: Vec<ObjRef> = moves.iter().map(|m| m.dst).collect();
-        stats.live_objects = survivors.len() as u64;
-        stats.dead_objects = objects.len() as u64 - survivors.len() as u64;
-        heap.complete_gc(survivors, new_top);
-        if self.cfg.verify_phases {
-            Self::require_clean(verifier.verify_post_compact(kernel, heap, roots), stats)?;
-        }
-        stats.faults_injected = kernel.perf.swap_faults_injected - faults_before;
-        stats.sched_packets = sched.stats.packets;
-        stats.sched_steals = sched.stats.steals;
-        stats.sched_steal_cycles = sched.stats.steal_cycles;
-
-        self.emit_phase_spans(kernel, cycle_start, stats, objects.len() as u64);
-        Ok(())
-    }
-
     /// Turn a failed verification pass into a [`GcError::Corruption`] abort.
     fn require_clean(report: VerifyReport, stats: &mut GcCycleStats) -> Result<(), GcError> {
         if report.is_clean() {
@@ -948,353 +769,26 @@ impl Lisp2Collector {
         }
     }
 
-    /// Phase I: trace the object graph from the roots.
-    fn mark_phase(
-        &self,
-        kernel: &mut Kernel,
-        heap: &Heap,
-        roots: &RootSet,
-        bitmap: &mut MarkBitmap,
-        pool: &mut WorkerPool,
-    ) -> Result<(), HeapError> {
-        let cores = kernel.cores();
-        let mut stack: Vec<ObjRef> = Vec::new();
-        for r in roots.iter_live() {
-            // Roots outside this heap (e.g. nursery objects during an
-            // old-generation-only collection) are not ours to trace.
-            if heap.contains(r.0) && bitmap.mark(r.header_va()) {
-                stack.push(r);
-            }
-        }
-        while let Some(obj) = stack.pop() {
-            // rr-cursor audit: `pool` is freshly constructed in
-            // `try_collect` before this phase, so the static cursor starts
-            // at 0 and the schedule is a pure function of the mark order.
-            let w = if self.cfg.work_stealing {
-                pool.least_loaded()
-            } else {
-                pool.dispatch_static(Cycles::ZERO)
-            };
-            let core = pool.core_of(w, cores);
-            let (hdr, mut t) = heap.read_header(kernel, core, obj)?;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                t += tc;
-                if !tgt.is_null() && heap.contains(tgt.0) && bitmap.mark(tgt.header_va()) {
-                    stack.push(tgt);
-                }
-            }
-            pool.dispatch_to(w, t);
-        }
-        Ok(())
-    }
-
-    /// Phase II: compute destinations (`CALCNEWADD`). Returns the move plan
-    /// (ascending source order) and the post-compaction cursor.
-    #[allow(clippy::type_complexity)]
-    fn forward_phase(
-        &self,
-        kernel: &mut Kernel,
-        heap: &Heap,
-        objects: &[ObjRef],
-        bitmap: &MarkBitmap,
-        pool: &mut WorkerPool,
-        stats: &mut GcCycleStats,
-    ) -> Result<(Vec<PlannedMove>, VirtAddr), HeapError> {
-        let cores = kernel.cores();
-        let mut comp_pnt = heap.base();
-        let mut moves = Vec::new();
-        for &obj in objects {
-            // rr-cursor audit: `try_collect` calls `pool.reset()` right
-            // before this phase, rewinding the static cursor — assignment
-            // depends only on this phase's own item sequence.
-            let w = if self.cfg.work_stealing {
-                pool.least_loaded()
-            } else {
-                pool.dispatch_static(Cycles::ZERO)
-            };
-            let core = pool.core_of(w, cores);
-            // Heap parsing touches every header, live or dead.
-            let (hdr, mut t) = heap.read_header(kernel, core, obj)?;
-            if bitmap.is_marked(obj.header_va()) {
-                // IFSWAPALIGN before and after (Algorithm 3 lines 22/25).
-                if hdr.is_large() {
-                    comp_pnt = comp_pnt.align_up();
-                }
-                let dst = ObjRef(comp_pnt);
-                comp_pnt = comp_pnt + hdr.size_bytes();
-                if hdr.is_large() {
-                    comp_pnt = comp_pnt.align_up();
-                }
-                t += kernel.write_word(
-                    heap.space(),
-                    core,
-                    obj.forwarding_va(),
-                    dst.0.get(),
-                )?;
-                stats.live_bytes += hdr.size_bytes();
-                moves.push(PlannedMove {
-                    src: obj,
-                    dst,
-                    header: hdr,
-                });
-            }
-            pool.dispatch_to(w, t);
-        }
-        Ok((moves, comp_pnt))
-    }
-
-    /// Phase III: rewrite reference fields and roots via forwarding words.
-    fn adjust_phase(
-        &self,
-        kernel: &mut Kernel,
-        heap: &Heap,
-        roots: &mut RootSet,
-        moves: &[PlannedMove],
-        pool: &mut WorkerPool,
-    ) -> Result<(), HeapError> {
-        let cores = kernel.cores();
-        for m in moves {
-            if m.header.num_refs == 0 {
-                continue;
-            }
-            // rr-cursor audit: `try_collect` calls `pool.reset()` right
-            // before this phase (see above) — no cursor leaks in from the
-            // forward phase's item count.
-            let w = if self.cfg.work_stealing {
-                pool.least_loaded()
-            } else {
-                pool.dispatch_static(Cycles::ZERO)
-            };
-            let core = pool.core_of(w, cores);
-            let mut t = Cycles::ZERO;
-            for i in 0..m.header.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, m.src, i)?;
-                t += tc;
-                // Out-of-heap targets (nursery objects) don't move here.
-                if tgt.is_null() || !heap.contains(tgt.0) {
-                    continue;
-                }
-                let (fwd, fc) = kernel.read_word(heap.space(), core, tgt.forwarding_va())?;
-                t += fc;
-                t += heap.write_ref(kernel, core, m.src, i, ObjRef(VirtAddr(fwd)))?;
-            }
-            pool.dispatch_to(w, t);
-        }
-        // Root slots (charged to worker 0 — the VM thread).
-        let core0 = pool.core_of(0, cores);
-        let mut t = Cycles::ZERO;
-        for slot in roots.slots_mut() {
-            if slot.is_null() || !heap.contains(slot.0) {
-                continue;
-            }
-            let (fwd, fc) = kernel.read_word(heap.space(), core0, slot.forwarding_va())?;
-            t += fc;
-            *slot = ObjRef(VirtAddr(fwd));
-        }
-        pool.dispatch_to(0, t);
-        Ok(())
-    }
-
-    /// Phase IV: move everything (`COMPACTOPT` + `MOVEOBJECT`).
-    fn compact_phase(
-        &self,
-        kernel: &mut Kernel,
-        heap: &mut Heap,
-        moves: &[PlannedMove],
-        pool: &mut WorkerPool,
-        watchdog: &mut GcWatchdog,
-        stats: &mut GcCycleStats,
-    ) -> Result<(), GcError> {
-        let cores = kernel.cores();
-        let threshold_bytes = heap.threshold_pages() * PAGE_SIZE;
-        // Algorithm 4's local-only flush is sound for exactly one pinned
-        // compactor: every translation it caches lives on the core it
-        // flushes. With parallel movers that precondition fails — worker X
-        // reads a forwarding word, worker Y's batch remaps the page with a
-        // local flush on Y, and X's next read translates through the dead
-        // entry (the stale-TLB oracle catches this on real workloads).
-        // Multi-worker compaction therefore uses access-tracked shootdowns:
-        // each swap IPIs precisely the cores still holding the ASID — a
-        // subset of the GC workers once the prologue broadcast has run, so
-        // other JVMs' cores are still never interrupted.
-        let flush_mode = if !self.cfg.pinned_compaction {
-            FlushMode::GlobalBroadcast
-        } else if pool.len() > 1 {
-            FlushMode::Tracked
-        } else {
-            FlushMode::LocalOnly
-        };
-        let swap_opts = SwapVaOptions {
-            pmd_cache: self.cfg.pmd_cache,
-            overlap_opt: self.cfg.overlap_opt,
-            flush: flush_mode,
-        };
-
-        // Will any move actually go through SwapVA this cycle? The pinning
-        // protocol's broadcasts only pay for themselves when PTEs change.
-        let any_swaps = self.cfg.use_swapva
-            && moves.iter().any(|m| {
-                m.src != m.dst
-                    && m.header.size_bytes() >= threshold_bytes
-                    && m.src.0.is_page_aligned()
-                    && m.dst.0.is_page_aligned()
-            });
-
-        if self.cfg.pinned_compaction && any_swaps {
-            // Algorithm 4 prologue: pin workers, broadcast the shootdown
-            // once so every core sees fresh mappings from here on.
-            let asid = heap.space().asid();
-            let pin_cost = kernel.pin(pool.core_of(0, cores));
-            let (bcast, intf) = kernel.flush_asid_all_cores(pool.core_of(0, cores), asid);
-            stats.phases.shootdown += pin_cost + bcast;
-            stats.interference += intf.0;
-            // The broadcast is infallible by signature; a seeded mid-IPI
-            // crash latches instead, and the phase must stop here.
-            if let Some(point) = kernel.crashed() {
-                return Err(GcError::Crashed { point });
-            }
-        }
-
-        // Aggregation buffer: a run of consecutive swap-eligible moves,
-        // flushed as one syscall (Fig. 5b). Any intervening memmove flushes
-        // it first to preserve ascending-order safety. The cap/page-budget
-        // policy lives in [`SwapBatch`], shared with the packet scheduler's
-        // per-packet batches.
-        let mut batch = SwapBatch::new(
-            self.cfg.aggregation.unwrap_or(1),
-            8 * heap.threshold_pages().max(1),
-        );
-
-        for m in moves {
-            // rr-cursor audit: the compact phase runs on a *fresh*
-            // `compact_pool` (its worker count may differ from the other
-            // phases'), so the static cursor necessarily starts at 0.
-            let w = if self.cfg.work_stealing {
-                pool.least_loaded()
-            } else {
-                pool.dispatch_static(Cycles::ZERO)
-            };
-            let core = pool.core_of(w, cores);
-            // Kernel events for this move start at the worker's current
-            // virtual-clock position within the phase.
-            kernel.trace.set_base(self.timeline + pool.load(w));
-            let mut t = Cycles::ZERO;
-
-            // Read the forwarding word at the source (Algorithm 4 line 9).
-            let (_, fc) = kernel.read_word(heap.space(), core, m.src.forwarding_va())?;
-            t += fc;
-            kernel.trace.advance(fc);
-
-            let size = m.header.size_bytes();
-            if m.src != m.dst {
-                let pages = size.div_ceil(PAGE_SIZE);
-                let swappable = self.cfg.use_swapva
-                    && pages >= heap.threshold_pages()
-                    && m.src.0.is_page_aligned()
-                    && m.dst.0.is_page_aligned()
-                    && size >= threshold_bytes;
-                let overlap_unsupported = !self.cfg.overlap_opt
-                    && m.src.0.get().abs_diff(m.dst.0.get()) < pages * PAGE_SIZE;
-                if swappable && !overlap_unsupported {
-                    let req = SwapRequest {
-                        a: m.src.0,
-                        b: m.dst.0,
-                        pages,
-                    };
-                    stats.swapped_objects += 1;
-                    stats.swapped_bytes += size;
-                    if batch.push(req, size) {
-                        let (c, intf) =
-                            self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
-                        t += c;
-                        stall_coworkers(pool, kernel, intf);
-                        // Mid-phase deadline check: the watchdog can abort
-                        // a runaway compaction between batches, not only
-                        // at phase barriers.
-                        watchdog.check("compact", pool.makespan() + t)?;
-                    }
-                } else {
-                    // memmove path: drain pending swaps first (ordering).
-                    let (c, intf) =
-                        self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
-                    t += c;
-                    stall_coworkers(pool, kernel, intf);
-                    watchdog.check("compact", pool.makespan() + t)?;
-                    t += kernel.memmove(heap.space(), core, m.src.0, m.dst.0, size)?;
-                    stats.memmove_bytes += size;
-                }
-                stats.moved_objects += 1;
-                kernel.perf.objects_moved += 1;
-            }
-            pool.dispatch_to(w, t);
-        }
-        // Drain the tail of the batch.
-        if !batch.is_empty() {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            kernel.trace.set_base(self.timeline + pool.load(w));
-            let (t, intf) = self.flush_batch(kernel, heap, &mut batch, swap_opts, core, stats)?;
-            pool.dispatch_to(w, t);
-            stall_coworkers(pool, kernel, intf);
-        }
-
-        // Workers resynchronize at the phase barrier: each flushes its own
-        // TLB so the forwarding-word clears below cannot read mappings
-        // staled by *other* workers' swaps. Tracked swaps already IPI every
-        // holder, so only the local-only protocol needs the barrier flush.
-        if any_swaps && flush_mode == FlushMode::LocalOnly {
-            let asid = heap.space().asid();
-            let mut worst = Cycles::ZERO;
-            for w in 0..pool.len() {
-                let c = kernel.flush_tlb_local(pool.core_of(w, cores), asid);
-                worst = worst.max(c);
-            }
-            pool.charge_all(worst);
-        }
-
-        // Clear forwarding words at the destinations.
-        for m in moves {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let t = kernel.write_word(heap.space(), core, m.dst.forwarding_va(), 0)?;
-            pool.dispatch_to(w, t);
-        }
-
-        if self.cfg.pinned_compaction && any_swaps {
-            // Algorithm 4 epilogue: unpin; mutators get fresh TLBs via one
-            // final broadcast (the post-GC cost §V-C mentions).
-            kernel.trace.set_base(self.timeline + pool.makespan());
-            let asid = heap.space().asid();
-            let (bcast, intf) = kernel.flush_asid_all_cores(pool.core_of(0, cores), asid);
-            let unpin = kernel.unpin();
-            stats.phases.shootdown += bcast + unpin;
-            stats.interference += intf.0;
-            if let Some(point) = kernel.crashed() {
-                return Err(GcError::Crashed { point });
-            }
-        }
-        kernel.perf.objects_swapped += stats.swapped_objects;
-        kernel.perf.gc_cycles += 1;
-        Ok(())
-    }
-
     /// Execute and clear the aggregation buffer through the resilient
     /// executor: transient faults retry with backoff, permanent faults
     /// demote single requests to memmove, mid-batch faults split the
     /// batch. With aggregation disabled the buffer never exceeds one
-    /// request, so this degenerates to separated calls.
+    /// request, so this degenerates to separated calls. The flush's IPI
+    /// interference stalls the other workers when `tk` finishes; returns
+    /// the cycles charged to `tk`'s worker.
+    #[allow(clippy::too_many_arguments)]
     fn flush_batch(
         &self,
         kernel: &mut Kernel,
         heap: &mut Heap,
         batch: &mut SwapBatch,
         opts: SwapVaOptions,
-        core: svagc_kernel::CoreId,
+        tk: &mut PacketTicket,
+        core: CoreId,
         stats: &mut GcCycleStats,
-    ) -> Result<(Cycles, Cycles), GcError> {
+    ) -> Result<Cycles, GcError> {
         if batch.is_empty() {
-            return Ok((Cycles::ZERO, Cycles::ZERO));
+            return Ok(Cycles::ZERO);
         }
         let entries = batch.take();
         let reqs: Vec<SwapRequest> = entries.iter().map(|(r, _)| *r).collect();
@@ -1332,6 +826,112 @@ impl Lisp2Collector {
             stats.swap_fallback_bytes += size;
         }
         stats.interference += out.interference;
-        Ok((out.cycles, out.interference))
+        tk.stall(out.interference);
+        Ok(out.cycles)
     }
+}
+
+/// Adjust → compact dependency edges (packets policy): which compact batch
+/// each adjust access constrains, and when the last adjust packet
+/// constraining each batch completes.
+struct BatchDeps {
+    /// Move index → owning batch.
+    batch_of_move: Vec<usize>,
+    /// Destination span of each batch: `[first dst, last dst + size)`.
+    dst_spans: Vec<(u64, u64)>,
+    /// Per batch: completion of the adjust packets it waits for.
+    ready: Vec<Cycles>,
+}
+
+impl BatchDeps {
+    /// Edges for `moves` cut into the compact bucket's batches over
+    /// `workers` workers.
+    fn new(moves: &[PlannedMove], workers: usize) -> BatchDeps {
+        let mut batch_of_move = vec![0usize; moves.len()];
+        let mut dst_spans = Vec::new();
+        for (bi, (s, e)) in chunk_ranges(moves.len(), workers).enumerate() {
+            batch_of_move[s..e].fill(bi);
+            let last = &moves[e - 1];
+            dst_spans.push((
+                moves[s].dst.0.get(),
+                last.dst.0.get() + last.header.size_bytes(),
+            ));
+        }
+        BatchDeps {
+            batch_of_move,
+            ready: vec![Cycles::ZERO; dst_spans.len()],
+            dst_spans,
+        }
+    }
+
+    /// Reading `tgt`'s forwarding word — at the target's *old* address —
+    /// constrains the target's own batch (which swaps the word away) and
+    /// the batch whose destinations cover it (which overwrites it).
+    fn read_forwarding(&self, moves: &[PlannedMove], tgt: ObjRef, out: &mut Vec<usize>) {
+        // Moves are in ascending source order.
+        if let Ok(ti) = moves.binary_search_by(|m| m.src.0.cmp(&tgt.0)) {
+            out.push(self.batch_of_move[ti]);
+        }
+        let va = tgt.forwarding_va().get();
+        let i = self.dst_spans.partition_point(|&(lo, _)| lo <= va);
+        if i > 0 && va < self.dst_spans[i - 1].1 {
+            out.push(i - 1);
+        }
+    }
+
+    /// An adjust packet that touched the batches in `conflicts` finished
+    /// at `done`; drains `conflicts`.
+    fn resolve(&mut self, conflicts: &mut Vec<usize>, done: Cycles) {
+        for b in conflicts.drain(..) {
+            self.ready[b] = self.ready[b].max(done);
+        }
+    }
+}
+
+/// Drain a mark stack in packets of [`PacketScheduler::mark_chunk`]
+/// entries, LIFO: read each object's reference fields and push every
+/// newly marked target that `traced` accepts, stamped with the completion
+/// of the packet that found it (the ready time of the packet that will
+/// trace it). Shared by the LISP2 mark and the scavenger's young trace;
+/// allocates nothing per packet.
+pub(crate) fn trace_closure(
+    sched: &mut PacketScheduler,
+    kernel: &mut Kernel,
+    heap: &Heap,
+    bitmap: &mut MarkBitmap,
+    stack: &mut Vec<(ObjRef, Cycles)>,
+    kind: PacketKind,
+    traced: impl Fn(VirtAddr) -> bool,
+) -> Result<(), HeapError> {
+    let per_packet = sched.mark_chunk();
+    let mut chunk = [(ObjRef::NULL, Cycles::ZERO); MARK_CHUNK];
+    while !stack.is_empty() {
+        let take = stack.len().min(per_packet);
+        let from = stack.len() - take;
+        chunk[..take].copy_from_slice(&stack[from..]);
+        stack.truncate(from);
+        let ready = chunk[..take]
+            .iter()
+            .map(|&(_, d)| d)
+            .fold(Cycles::ZERO, Cycles::max);
+        let tk = sched.begin(kind, ready);
+        let core = sched.core(&tk);
+        let mut t = Cycles::ZERO;
+        for &(obj, _) in &chunk[..take] {
+            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
+            t += ht;
+            for i in 0..hdr.num_refs as u64 {
+                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
+                t += tc;
+                if !tgt.is_null() && traced(tgt.0) && bitmap.mark(tgt.header_va()) {
+                    stack.push((tgt, Cycles::ZERO));
+                }
+            }
+        }
+        let done = sched.finish(&mut kernel.trace, tk, t, take as u64);
+        for entry in &mut stack[from..] {
+            entry.1 = done;
+        }
+    }
+    Ok(())
 }

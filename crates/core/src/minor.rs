@@ -23,9 +23,9 @@ use crate::config::SchedulerKind;
 use crate::degrade::{DegradeController, DegradePolicy};
 use crate::error::GcError;
 use crate::journal::CompactionJournal;
-use crate::packets::{chunk_ranges, PacketKind, PacketScheduler, PacketTicket, MARK_CHUNK};
+use crate::lisp2::trace_closure;
+use crate::packets::{chunk_ranges, PacketKind, PacketScheduler};
 use crate::resilience::{execute_swaps, RetryPolicy};
-use crate::scheduler::WorkerPool;
 use crate::watchdog::GcWatchdog;
 use svagc_heap::{GenHeap, HeapError, MarkBitmap, ObjRef, RootSet, CARD_BYTES};
 use svagc_kernel::{CoreId, FlushMode, Kernel, SwapBatch, SwapRequest, SwapVaOptions};
@@ -49,8 +49,8 @@ pub struct MinorConfig {
     pub deadline_cycles: Option<u64>,
     /// Degraded-mode circuit-breaker policy for aborted scavenges.
     pub degrade: DegradePolicy,
-    /// Scheduling substrate for the scavenge phases (barrier pipeline or
-    /// work packets).
+    /// Bucket policy for the scavenge phases (barrier pipeline or work
+    /// packets).
     pub scheduler: SchedulerKind,
     /// First machine core this scavenger's workers pin to (multi-tenant
     /// affinity; see [`crate::GcConfig::core_base`]).
@@ -82,7 +82,7 @@ impl MinorConfig {
         }
     }
 
-    /// Select the scheduling substrate.
+    /// Select the bucket policy.
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> MinorConfig {
         self.scheduler = kind;
         self
@@ -267,6 +267,16 @@ impl MinorGc {
     /// One scavenge attempt (no transaction bracketing — `collect` owns
     /// that; eden is untouched here so an abort only needs to restore the
     /// old generation).
+    ///
+    /// The phases run as [`PacketKind::MinorChunk`] packets through one
+    /// [`PacketScheduler`] whose bucket policy is `cfg.scheduler`:
+    /// card-scan and trace chunks stamped with discovery-time
+    /// dependencies, forward/adjust ranges at phase milestones, and
+    /// promotion batches that start as soon as every adjust packet that
+    /// read their forwarding words has completed. The scavenger never
+    /// joins its workers between phases: under the barrier policy all
+    /// phases share one greedy least-loaded bucket (HotSpot's parallel
+    /// scavenge), and each phase's watchdog check sees the makespan so far.
     fn try_collect(
         &mut self,
         kernel: &mut Kernel,
@@ -274,59 +284,67 @@ impl MinorGc {
         roots: &mut RootSet,
         watchdog: &mut GcWatchdog,
     ) -> Result<MinorStats, GcError> {
-        if self.cfg.scheduler == SchedulerKind::Packets {
-            return self.try_collect_packets(kernel, gh, roots, watchdog);
-        }
         let mut stats = MinorStats::default();
-        // Anchor of this scavenge on the cumulative GC trace timeline
-        // (kernel emissions below advance the base as they consume cycles).
+        // Anchor of this scavenge on the cumulative GC trace timeline.
         let trace_start = kernel.trace.base();
         let cores = kernel.cores();
         let threads = self.cfg.gc_threads.min(cores).max(1);
-        let mut pool = WorkerPool::with_core_base(threads, self.cfg.core_base);
+        let mut sched = PacketScheduler::new(
+            self.cfg.scheduler,
+            threads,
+            cores,
+            self.cfg.core_base,
+            true,
+            trace_start,
+        );
         let (eden_base, eden_end) = gh.eden_range();
         let eden_words = (eden_end - eden_base) / 8;
         let mut bitmap = MarkBitmap::new(eden_base, eden_words);
 
-        // ---- Phase 1+2: young roots and trace ------------------------
-        // `slots`: every location that holds a young pointer and must be
-        // rewritten: root indices and (holder, field) pairs in old space.
+        // ---- Phase 1+2: young roots, card scan, trace ----------------
+        // `old_slots`: every (holder, field) in old space that holds a
+        // young pointer and must be rewritten.
         let mut old_slots: Vec<(ObjRef, u64)> = Vec::new();
-        let mut stack: Vec<ObjRef> = Vec::new();
+        let mut stack: Vec<(ObjRef, Cycles)> = Vec::new();
+        let tk = sched.begin_vm(PacketKind::MarkRoots, Cycles::ZERO);
         for r in roots.iter_live() {
             if gh.in_young(r.0) && bitmap.mark(r.header_va()) {
-                stack.push(r);
+                stack.push((r, tk.start));
             }
         }
-        // Scan dirty cards: find old objects overlapping each card and
-        // inspect their reference fields.
-        let dirty: Vec<VirtAddr> = gh.cards.iter_dirty().collect();
-        stats.scanned_cards = dirty.len() as u64;
-        let old_objects: Vec<ObjRef> = gh.old.objects_sorted().to_vec();
-        // An old object can overlap several adjacent dirty cards; scanning
-        // it once per card would double-push its young-pointing slots into
-        // `old_slots` (duplicate pointer adjustments) and double-charge the
-        // scan cycles. Cards iterate in ascending address order, so the
-        // index one past the last scanned object dedupes the sweep.
+        sched.finish(&mut kernel.trace, tk, Cycles::ZERO, stack.len() as u64);
+        // Old objects overlapping a dirty card. An object can overlap
+        // several adjacent dirty cards; scanning it once per card would
+        // double-push its young-pointing slots into `old_slots` (duplicate
+        // pointer adjustments) and double-charge the scan cycles. Cards
+        // iterate in ascending address order, so the index one past the
+        // last scanned object dedupes the sweep.
+        let old_objects = gh.old.objects_sorted();
+        let mut scan: Vec<ObjRef> = Vec::new();
         let mut scanned_upto = 0usize;
-        for card in dirty {
+        for card in gh.cards.iter_dirty() {
+            stats.scanned_cards += 1;
             let card_end = card + CARD_BYTES;
-            // Objects whose extent intersects [card, card_end): start from
-            // the last object at or before the card, skipping any already
-            // scanned under a previous card.
-            let start_idx = old_objects
+            // Start from the last object at or before the card.
+            let start = old_objects
                 .partition_point(|o| o.0 <= card)
                 .saturating_sub(1)
                 .max(scanned_upto);
-            for (idx, &obj) in old_objects.iter().enumerate().skip(start_idx) {
-                if obj.0 >= card_end {
-                    break;
-                }
-                scanned_upto = idx + 1;
-                stats.scanned_objects += 1;
-                let w = pool.least_loaded();
-                let core = pool.core_of(w, cores);
-                let (hdr, mut t) = gh.old.read_header(kernel, core, obj)?;
+            scanned_upto = start + old_objects[start..].partition_point(|o| o.0 < card_end);
+            scan.extend_from_slice(&old_objects[start..scanned_upto]);
+        }
+        stats.scanned_objects = scan.len() as u64;
+        // Card-scan packets are all ready immediately (dirty cards are
+        // mutually independent); their discoveries are stamped with the
+        // packet's completion.
+        for chunk in scan.chunks(sched.mark_chunk()) {
+            let tk = sched.begin(PacketKind::MinorChunk, Cycles::ZERO);
+            let core = sched.core(&tk);
+            let found_from = stack.len();
+            let mut t = Cycles::ZERO;
+            for &obj in chunk {
+                let (hdr, ht) = gh.old.read_header(kernel, core, obj)?;
+                t += ht;
                 // Imprecise card scan (as HotSpot does): inspect every
                 // reference field of each object overlapping the card.
                 for i in 0..hdr.num_refs as u64 {
@@ -335,28 +353,28 @@ impl MinorGc {
                     if !tgt.is_null() && gh.in_young(tgt.0) {
                         old_slots.push((obj, i));
                         if bitmap.mark(tgt.header_va()) {
-                            stack.push(tgt);
+                            stack.push((tgt, Cycles::ZERO));
                         }
                     }
                 }
-                pool.dispatch_to(w, t);
+            }
+            let done = sched.finish(&mut kernel.trace, tk, t, chunk.len() as u64);
+            for entry in &mut stack[found_from..] {
+                entry.1 = done;
             }
         }
         // Trace the young subgraph.
-        while let Some(obj) = stack.pop() {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let (hdr, mut t) = gh.old.read_header(kernel, core, obj)?;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = gh.old.read_ref(kernel, core, obj, i)?;
-                t += tc;
-                if !tgt.is_null() && gh.in_young(tgt.0) && bitmap.mark(tgt.header_va()) {
-                    stack.push(tgt);
-                }
-            }
-            pool.dispatch_to(w, t);
-        }
-        watchdog.check("minor-trace", pool.makespan())?;
+        trace_closure(
+            &mut sched,
+            kernel,
+            &gh.old,
+            &mut bitmap,
+            &mut stack,
+            PacketKind::MinorChunk,
+            |va| gh.in_young(va),
+        )?;
+        let t_trace = sched.makespan();
+        watchdog.check("minor-trace", t_trace)?;
 
         // ---- Phase 3: forwarding (promotion addresses) ----------------
         struct Promo {
@@ -372,92 +390,150 @@ impl MinorGc {
         let mut survivors: Vec<(ObjRef, svagc_heap::ObjShape, bool)> = Vec::new();
         let mut demand = 0u64;
         let mut large_count = 0u64;
-        for &obj in &young {
-            if !bitmap.is_marked(obj.header_va()) {
-                stats.dead_young += 1;
-                continue;
+        for (s, e) in sched.ranges(young.len(), |i| bitmap.is_marked(young[i].header_va())) {
+            let tk = sched.begin(PacketKind::MinorChunk, t_trace);
+            let core = sched.core(&tk);
+            let mut t = Cycles::ZERO;
+            for &obj in &young[s..e] {
+                if !bitmap.is_marked(obj.header_va()) {
+                    continue;
+                }
+                let (hdr, ht) = gh.old.read_header(kernel, core, obj)?;
+                t += ht;
+                let shape = svagc_heap::ObjShape::with_refs(
+                    hdr.num_refs,
+                    hdr.size_words - 2 - hdr.num_refs,
+                );
+                demand += hdr.size_bytes();
+                if hdr.is_large() {
+                    large_count += 1;
+                }
+                survivors.push((obj, shape, hdr.is_large()));
             }
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let (hdr, t) = gh.old.read_header(kernel, core, obj)?;
-            let shape = svagc_heap::ObjShape::with_refs(
-                hdr.num_refs,
-                hdr.size_words - 2 - hdr.num_refs,
-            );
-            demand += hdr.size_bytes();
-            if hdr.is_large() {
-                large_count += 1;
-            }
-            survivors.push((obj, shape, hdr.is_large()));
-            pool.dispatch_to(w, t);
+            sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
         }
+        stats.dead_young = (young.len() - survivors.len()) as u64;
         if demand + (2 * large_count + 1) * PAGE_SIZE > gh.old.free_bytes() {
             return Err(GcError::Heap(HeapError::NeedGc { requested: demand }));
         }
+        // Destination assignment: the cursor is a prefix sum over survivor
+        // sizes (DESIGN.md §13), so ranges only need the shape milestone.
+        let t_shape = sched.makespan();
         let mut promos: Vec<Promo> = Vec::new();
-        for (obj, shape, large) in survivors {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let dst = gh.old.adopt_at_top(kernel, shape)?;
-            let t = kernel.write_word(gh.old.space(), core, obj.forwarding_va(), dst.0.get())?;
-            stats.promoted_bytes += shape.size_bytes();
-            promos.push(Promo {
-                src: obj,
-                dst,
-                size: shape.size_bytes(),
-                large,
-            });
-            pool.dispatch_to(w, t);
+        for (s, e) in sched.ranges(survivors.len(), |_| true) {
+            let tk = sched.begin(PacketKind::MinorChunk, t_shape);
+            let core = sched.core(&tk);
+            let mut t = Cycles::ZERO;
+            for &(obj, shape, large) in &survivors[s..e] {
+                let dst = gh.old.adopt_at_top(kernel, shape)?;
+                t += kernel.write_word(gh.old.space(), core, obj.forwarding_va(), dst.0.get())?;
+                stats.promoted_bytes += shape.size_bytes();
+                promos.push(Promo {
+                    src: obj,
+                    dst,
+                    size: shape.size_bytes(),
+                    large,
+                });
+            }
+            sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
         }
         stats.promoted_objects = promos.len() as u64;
-        watchdog.check("minor-forward", pool.makespan())?;
+        let t_fwd = sched.makespan();
+        watchdog.check("minor-forward", t_fwd)?;
 
         // ---- Phase 4: adjust references -------------------------------
-        let read_fwd = |kernel: &mut Kernel, gh: &GenHeap, core, tgt: ObjRef| {
-            kernel.read_word(gh.old.space(), core, tgt.forwarding_va())
+        // Overlapping buckets track the promotion batch each adjust access
+        // to a forwarding word constrains (the partition is the promote
+        // bucket's; promos are in ascending source order by construction).
+        let tracking = sched.overlaps();
+        let mut batch_of_promo = Vec::new();
+        let mut batch_ready: Vec<Cycles> = Vec::new();
+        if tracking {
+            batch_of_promo = vec![0usize; promos.len()];
+            for (bi, (s, e)) in chunk_ranges(promos.len(), threads).enumerate() {
+                batch_of_promo[s..e].fill(bi);
+                batch_ready.push(Cycles::ZERO);
+            }
+        }
+        let note = |conflicts: &mut Vec<usize>, src: ObjRef| {
+            if tracking {
+                if let Ok(i) = promos.binary_search_by(|p| p.src.0.cmp(&src.0)) {
+                    conflicts.push(batch_of_promo[i]);
+                }
+            }
         };
-        // Root slots.
+        let resolve = |conflicts: &mut Vec<usize>, done: Cycles, ready: &mut [Cycles]| {
+            for b in conflicts.drain(..) {
+                ready[b] = ready[b].max(done);
+            }
+        };
+        let mut conflicts: Vec<usize> = Vec::new();
         {
-            let core0 = pool.core_of(0, cores);
+            // Root slots: the VM thread's packet.
+            let tk = sched.begin_vm(PacketKind::MinorChunk, t_fwd);
+            let core = sched.core(&tk);
             let mut t = Cycles::ZERO;
+            let mut slots = 0u64;
             for slot in roots.slots_mut() {
                 if !slot.is_null() && slot.0 >= eden_base && slot.0 < eden_end {
-                    let (fwd, c) = kernel.read_word(gh.old.space(), core0, slot.forwarding_va())?;
+                    let (fwd, c) = kernel.read_word(gh.old.space(), core, slot.forwarding_va())?;
                     t += c;
+                    note(&mut conflicts, *slot);
                     *slot = ObjRef(VirtAddr(fwd));
+                    slots += 1;
                 }
             }
-            pool.dispatch_to(0, t);
+            let done = sched.finish(&mut kernel.trace, tk, t, slots);
+            resolve(&mut conflicts, done, &mut batch_ready);
         }
         // Old-generation fields discovered via cards.
-        for (holder, field) in old_slots {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let (tgt, mut t) = gh.old.read_ref(kernel, core, holder, field)?;
-            if !tgt.is_null() && gh.in_young(tgt.0) {
-                let (fwd, c) = read_fwd(kernel, gh, core, tgt)?;
-                t += c;
-                t += gh.old.write_ref(kernel, core, holder, field, ObjRef(VirtAddr(fwd)))?;
-            }
-            pool.dispatch_to(w, t);
-        }
-        // Survivors' own fields (young targets forward; old targets keep).
-        for p in &promos {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let (hdr, mut t) = gh.old.read_header(kernel, core, p.src)?;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = gh.old.read_ref(kernel, core, p.src, i)?;
+        for (s, e) in sched.ranges(old_slots.len(), |_| true) {
+            let tk = sched.begin(PacketKind::MinorChunk, t_fwd);
+            let core = sched.core(&tk);
+            let mut t = Cycles::ZERO;
+            for &(holder, field) in &old_slots[s..e] {
+                let (tgt, tc) = gh.old.read_ref(kernel, core, holder, field)?;
                 t += tc;
                 if !tgt.is_null() && gh.in_young(tgt.0) {
-                    let (fwd, c) = read_fwd(kernel, gh, core, tgt)?;
+                    let (fwd, c) = kernel.read_word(gh.old.space(), core, tgt.forwarding_va())?;
                     t += c;
-                    t += gh.old.write_ref(kernel, core, p.src, i, ObjRef(VirtAddr(fwd)))?;
+                    t += gh.old.write_ref(kernel, core, holder, field, ObjRef(VirtAddr(fwd)))?;
+                    note(&mut conflicts, tgt);
                 }
             }
-            pool.dispatch_to(w, t);
+            let done = sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
+            resolve(&mut conflicts, done, &mut batch_ready);
         }
-        watchdog.check("minor-adjust", pool.makespan())?;
+        // Survivors' own fields (young targets forward; old targets keep).
+        // They share the promotion-batch partition, so packet `bi`'s
+        // writes land in batch `bi` by construction.
+        for (bi, (s, e)) in sched.ranges(promos.len(), |_| true).enumerate() {
+            let tk = sched.begin(PacketKind::MinorChunk, t_fwd);
+            let core = sched.core(&tk);
+            let mut t = Cycles::ZERO;
+            if tracking {
+                conflicts.push(bi);
+            }
+            for p in &promos[s..e] {
+                let (hdr, ht) = gh.old.read_header(kernel, core, p.src)?;
+                t += ht;
+                for i in 0..hdr.num_refs as u64 {
+                    let (tgt, tc) = gh.old.read_ref(kernel, core, p.src, i)?;
+                    t += tc;
+                    if !tgt.is_null() && gh.in_young(tgt.0) {
+                        let (fwd, c) =
+                            kernel.read_word(gh.old.space(), core, tgt.forwarding_va())?;
+                        t += c;
+                        t += gh.old.write_ref(kernel, core, p.src, i, ObjRef(VirtAddr(fwd)))?;
+                        note(&mut conflicts, tgt);
+                    }
+                }
+            }
+            let done = sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
+            resolve(&mut conflicts, done, &mut batch_ready);
+        }
+        let t_adj = sched.makespan();
+        watchdog.check("minor-adjust", t_adj)?;
 
         // ---- Phase 5: promote (copy or swap) ---------------------------
         let threshold_pages = gh.old.threshold_pages();
@@ -471,129 +547,114 @@ impl MinorGc {
                 p.large && p.src.0.is_page_aligned() && p.dst.0.is_page_aligned()
             });
         if any_swaps {
+            // Algorithm 4 prologue: a global sync point, positioned at the
+            // adjust milestone.
+            kernel.trace.set_base(trace_start + t_adj);
             let asid = gh.old.space().asid();
-            let c0 = pool.core_of(0, cores);
+            let c0 = sched.core_of(0);
             let pin = kernel.pin(c0);
             let (b, intf) = kernel.flush_asid_all_cores(c0, asid);
-            pool.dispatch_to(0, pin + b);
+            sched.sync(pin + b);
             stats.interference += intf.0;
             if let Some(point) = kernel.crashed() {
                 return Err(GcError::Crashed { point });
             }
         }
-        let mut batch: Vec<SwapRequest> = Vec::new();
-        let mut batch_pages = 0u64;
-        let batch_cap = self.cfg.aggregation.unwrap_or(1).max(1);
         // Aggregation amortizes syscall entry across *small* promotions; a
         // page budget keeps one batch from serializing big-object swaps
-        // onto a single worker.
-        let batch_page_budget = 8 * threshold_pages.max(1);
-        for p in &promos {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
+        // onto a single worker. Under the barrier policy one buffer spans
+        // the bucket; overlapping packets each own theirs.
+        let mut batch = SwapBatch::new(
+            self.cfg.aggregation.unwrap_or(1),
+            8 * threshold_pages.max(1),
+        );
+        for (bi, (s, e)) in sched.ranges(promos.len(), |_| true).enumerate() {
+            let ready = batch_ready.get(bi).map_or(t_adj, |&r| r.max(t_fwd));
+            let tk = sched.begin(PacketKind::MinorChunk, ready);
+            let core = sched.core(&tk);
+            kernel.trace.set_base(trace_start + tk.start);
             let mut t = Cycles::ZERO;
-            let pages = p.size.div_ceil(PAGE_SIZE);
-            let swappable = self.cfg.use_swapva
-                && p.large
-                && pages >= threshold_pages
-                && p.src.0.is_page_aligned()
-                && p.dst.0.is_page_aligned();
-            if swappable {
-                // Eden and old space never overlap: this is always the
-                // disjoint fast path.
-                debug_assert!(
-                    !(SwapRequest { a: p.src.0, b: p.dst.0, pages }).overlaps(),
-                    "eden and old generation must be disjoint"
-                );
-                stats.swapped_objects += 1;
-                batch.push(SwapRequest { a: p.src.0, b: p.dst.0, pages });
-                batch_pages += pages;
-                if batch.len() >= batch_cap || batch_pages >= batch_page_budget {
-                    let out = execute_swaps(
-                        kernel,
-                        gh.old.space_mut(),
-                        &batch,
-                        swap_opts,
-                        core,
-                        self.cfg.aggregation.is_some(),
-                        &self.cfg.retry,
-                    )?;
-                    stats.swap_retries += out.retries;
-                    stats.batch_splits += out.batch_splits;
-                    // Fallback indices are distinct within one call and the
-                    // batch is cleared after every flush, so this rebooking
-                    // site and the post-loop one below never see the same
-                    // request twice — each subtraction is bounded by the
-                    // requests booked for its own batch. Saturating (as the
-                    // full collector does) so a miscount degrades the stats
-                    // instead of panicking.
-                    debug_assert!(out.fallback.len() <= batch.len());
-                    stats.swapped_objects =
-                        stats.swapped_objects.saturating_sub(out.fallback.len() as u64);
-                    stats.swap_fallback_objects += out.fallback.len() as u64;
-                    batch.clear();
-                    batch_pages = 0;
-                    t += out.cycles;
-                    stats.interference += out.interference;
-                    // Mid-phase deadline check between promotion batches.
-                    watchdog.check("minor-promote", pool.makespan() + t)?;
+            for p in &promos[s..e] {
+                let pages = p.size.div_ceil(PAGE_SIZE);
+                let swappable = self.cfg.use_swapva
+                    && p.large
+                    && pages >= threshold_pages
+                    && p.src.0.is_page_aligned()
+                    && p.dst.0.is_page_aligned();
+                if swappable {
+                    // Eden and old space never overlap: this is always the
+                    // disjoint fast path.
+                    debug_assert!(
+                        !(SwapRequest { a: p.src.0, b: p.dst.0, pages }).overlaps(),
+                        "eden and old generation must be disjoint"
+                    );
+                    stats.swapped_objects += 1;
+                    if batch.push(SwapRequest { a: p.src.0, b: p.dst.0, pages }, p.size) {
+                        t += Self::flush_promotions(
+                            kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
+                        )?;
+                        // Mid-bucket deadline check between promotion batches.
+                        watchdog.check("minor-promote", sched.elapsed(&tk, t))?;
+                    }
+                } else {
+                    t += kernel.memmove(gh.old.space(), core, p.src.0, p.dst.0, p.size)?;
                 }
-            } else {
-                t += kernel.memmove(gh.old.space(), core, p.src.0, p.dst.0, p.size)?;
             }
-            pool.dispatch_to(w, t);
+            if sched.overlaps() {
+                // The packet drains its own batch, then clears its
+                // destinations' forwarding words on the same core as its
+                // swaps — which LocalOnly-flushed it — so no extra TLB pass
+                // is needed.
+                t += Self::flush_promotions(
+                    kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
+                )?;
+                for p in &promos[s..e] {
+                    t += kernel.write_word(gh.old.space(), core, p.dst.forwarding_va(), 0)?;
+                }
+            }
+            sched.finish(&mut kernel.trace, tk, t, (e - s) as u64);
         }
-        if !batch.is_empty() {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let out = execute_swaps(
-                kernel,
-                gh.old.space_mut(),
-                &batch,
-                swap_opts,
-                core,
-                self.cfg.aggregation.is_some(),
-                &self.cfg.retry,
-            )?;
-            stats.swap_retries += out.retries;
-            stats.batch_splits += out.batch_splits;
-            // Second rebooking site: this drains only the final partial
-            // batch, disjoint from every mid-loop flush above, so the two
-            // sites cannot double-subtract the same fallback even when both
-            // run within one scavenge (pinned by minor_counters tests).
-            debug_assert!(out.fallback.len() <= batch.len());
-            stats.swapped_objects =
-                stats.swapped_objects.saturating_sub(out.fallback.len() as u64);
-            stats.swap_fallback_objects += out.fallback.len() as u64;
-            stats.interference += out.interference;
-            pool.dispatch_to(w, out.cycles);
-        }
-        // Clear forwarding words at the destinations (after every deferred
-        // swap has executed, so the words land in the final frames).
-        if any_swaps {
-            let asid = gh.old.space().asid();
-            for w in 0..pool.len() {
-                kernel.flush_tlb_local(pool.core_of(w, cores), asid);
+        if !sched.overlaps() {
+            // Barrier tail: the least-loaded worker drains the bucket-wide
+            // batch.
+            if !batch.is_empty() {
+                let tk = sched.begin_any(PacketKind::MinorChunk);
+                let core = sched.core(&tk);
+                kernel.trace.set_base(trace_start + tk.start);
+                let c = Self::flush_promotions(
+                    kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
+                )?;
+                sched.finish(&mut kernel.trace, tk, c, 0);
+            }
+            // Clear forwarding words at the destinations (after every
+            // deferred swap has executed, so the words land in the final
+            // frames), once every worker has dropped its stale entries.
+            if any_swaps {
+                let asid = gh.old.space().asid();
+                for c in sched.bucket_cores() {
+                    kernel.flush_tlb_local(c, asid);
+                }
+            }
+            for p in &promos {
+                let tk = sched.begin_any(PacketKind::MinorChunk);
+                let t =
+                    kernel.write_word(gh.old.space(), sched.core(&tk), p.dst.forwarding_va(), 0)?;
+                sched.finish(&mut kernel.trace, tk, t, 1);
             }
         }
-        for p in &promos {
-            let w = pool.least_loaded();
-            let core = pool.core_of(w, cores);
-            let t = kernel.write_word(gh.old.space(), core, p.dst.forwarding_va(), 0)?;
-            pool.dispatch_to(w, t);
-        }
         if any_swaps {
+            // Algorithm 4 epilogue: one final broadcast for the mutators.
+            kernel.trace.set_base(trace_start + sched.makespan());
             let asid = gh.old.space().asid();
-            let c0 = pool.core_of(0, cores);
-            let (b, intf) = kernel.flush_asid_all_cores(c0, asid);
-            pool.dispatch_to(0, b + kernel.unpin());
+            let (b, intf) = kernel.flush_asid_all_cores(sched.core_of(0), asid);
+            sched.sync(b + kernel.unpin());
             stats.interference += intf.0;
             if let Some(point) = kernel.crashed() {
                 return Err(GcError::Crashed { point });
             }
         }
 
-        stats.pause = pool.makespan();
+        stats.pause = sched.makespan();
         watchdog.check("minor-promote", stats.pause)?;
         kernel.trace.span_abs(
             TraceKind::MinorCycle,
@@ -615,422 +676,12 @@ impl MinorGc {
         Ok(stats)
     }
 
-    /// One scavenge attempt under the **work-packet scheduler**
-    /// (`--scheduler packets`). Functional effects run in the same host
-    /// order as the barrier path — only time attribution and core choice
-    /// differ — with the scavenge decomposed into [`PacketKind::MinorChunk`]
-    /// packets: card-scan and trace chunks stamped with discovery-time
-    /// dependencies, forward/adjust range chunks at bucket milestones, and
-    /// promotion batches that start as soon as every adjust packet that
-    /// read their forwarding words has completed.
-    fn try_collect_packets(
-        &mut self,
-        kernel: &mut Kernel,
-        gh: &mut GenHeap,
-        roots: &mut RootSet,
-        watchdog: &mut GcWatchdog,
-    ) -> Result<MinorStats, GcError> {
-        let mut stats = MinorStats::default();
-        let trace_start = kernel.trace.base();
-        let cores = kernel.cores();
-        let threads = self.cfg.gc_threads.min(cores).max(1);
-        let mut sched = PacketScheduler::new(threads, cores, self.cfg.core_base);
-        let (eden_base, eden_end) = gh.eden_range();
-        let eden_words = (eden_end - eden_base) / 8;
-        let mut bitmap = MarkBitmap::new(eden_base, eden_words);
-
-        // ---- Bucket 1: young roots, card scan, trace -----------------
-        let mut old_slots: Vec<(ObjRef, u64)> = Vec::new();
-        let mut stack: Vec<(ObjRef, Cycles)> = Vec::new();
-        let mut t_trace;
-        {
-            let ticket = sched.begin(PacketKind::MarkRoots, Cycles::ZERO);
-            let done = sched.finish(ticket, Cycles::ZERO);
-            let mut seeded = 0u64;
-            for r in roots.iter_live() {
-                if gh.in_young(r.0) && bitmap.mark(r.header_va()) {
-                    stack.push((r, done));
-                    seeded += 1;
-                }
-            }
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, Cycles::ZERO, seeded);
-            t_trace = done;
-        }
-        // Card scan in chunks of [`MARK_CHUNK`] inspected old objects, all
-        // ready immediately (dirty cards are mutually independent).
-        let dirty: Vec<VirtAddr> = gh.cards.iter_dirty().collect();
-        stats.scanned_cards = dirty.len() as u64;
-        let old_objects: Vec<ObjRef> = gh.old.objects_sorted().to_vec();
-        let mut scanned_upto = 0usize;
-        // The open card-scan packet: ticket, accumulated cost, item count;
-        // `found` holds young objects it discovered, stamped at its finish.
-        let mut open: Option<(PacketTicket, Cycles, u64)> = None;
-        let mut found: Vec<ObjRef> = Vec::new();
-        for card in dirty {
-            let card_end = card + CARD_BYTES;
-            let start_idx = old_objects
-                .partition_point(|o| o.0 <= card)
-                .saturating_sub(1)
-                .max(scanned_upto);
-            for (idx, &obj) in old_objects.iter().enumerate().skip(start_idx) {
-                if obj.0 >= card_end {
-                    break;
-                }
-                scanned_upto = idx + 1;
-                stats.scanned_objects += 1;
-                let (ticket, mut t, mut items) = open.take().unwrap_or_else(|| {
-                    (
-                        sched.begin(PacketKind::MinorChunk, Cycles::ZERO),
-                        Cycles::ZERO,
-                        0,
-                    )
-                });
-                let core = sched.core(&ticket);
-                let (hdr, ht) = gh.old.read_header(kernel, core, obj)?;
-                t += ht;
-                for i in 0..hdr.num_refs as u64 {
-                    let (tgt, tc) = gh.old.read_ref(kernel, core, obj, i)?;
-                    t += tc;
-                    if !tgt.is_null() && gh.in_young(tgt.0) {
-                        old_slots.push((obj, i));
-                        if bitmap.mark(tgt.header_va()) {
-                            found.push(tgt);
-                        }
-                    }
-                }
-                items += 1;
-                if items as usize >= MARK_CHUNK {
-                    let done = sched.finish(ticket, t);
-                    sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, items);
-                    for f in found.drain(..) {
-                        stack.push((f, done));
-                    }
-                    t_trace = t_trace.max(done);
-                } else {
-                    open = Some((ticket, t, items));
-                }
-            }
-        }
-        if let Some((ticket, t, items)) = open.take() {
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, items);
-            for f in found.drain(..) {
-                stack.push((f, done));
-            }
-            t_trace = t_trace.max(done);
-        }
-        // Trace the young subgraph; each chunk is ready when the packets
-        // that discovered its objects complete.
-        while !stack.is_empty() {
-            let take = stack.len().min(MARK_CHUNK);
-            let chunk: Vec<(ObjRef, Cycles)> = stack.split_off(stack.len() - take);
-            let ready = chunk
-                .iter()
-                .map(|&(_, d)| d)
-                .fold(Cycles::ZERO, Cycles::max);
-            let ticket = sched.begin(PacketKind::MinorChunk, ready);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            let mut discovered: Vec<ObjRef> = Vec::new();
-            for &(obj, _) in &chunk {
-                let (hdr, ht) = gh.old.read_header(kernel, core, obj)?;
-                t += ht;
-                for i in 0..hdr.num_refs as u64 {
-                    let (tgt, tc) = gh.old.read_ref(kernel, core, obj, i)?;
-                    t += tc;
-                    if !tgt.is_null() && gh.in_young(tgt.0) && bitmap.mark(tgt.header_va()) {
-                        discovered.push(tgt);
-                    }
-                }
-            }
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, take as u64);
-            for d in discovered {
-                stack.push((d, done));
-            }
-            t_trace = t_trace.max(done);
-        }
-        watchdog.check("minor-trace", t_trace)?;
-
-        // ---- Bucket 2: forward (promotion addresses) -----------------
-        struct Promo {
-            src: ObjRef,
-            dst: ObjRef,
-            size: u64,
-            large: bool,
-        }
-        let young: Vec<ObjRef> = gh.young_objects().to_vec();
-        let mut survivors: Vec<(ObjRef, svagc_heap::ObjShape, bool)> = Vec::new();
-        let mut demand = 0u64;
-        let mut large_count = 0u64;
-        let mut t_shape = t_trace;
-        for (s, e) in chunk_ranges(young.len(), threads) {
-            let ticket = sched.begin(PacketKind::MinorChunk, t_trace);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            for &obj in &young[s..e] {
-                if !bitmap.is_marked(obj.header_va()) {
-                    stats.dead_young += 1;
-                    continue;
-                }
-                let (hdr, ht) = gh.old.read_header(kernel, core, obj)?;
-                t += ht;
-                let shape = svagc_heap::ObjShape::with_refs(
-                    hdr.num_refs,
-                    hdr.size_words - 2 - hdr.num_refs,
-                );
-                demand += hdr.size_bytes();
-                if hdr.is_large() {
-                    large_count += 1;
-                }
-                survivors.push((obj, shape, hdr.is_large()));
-            }
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, (e - s) as u64);
-            t_shape = t_shape.max(done);
-        }
-        if demand + (2 * large_count + 1) * PAGE_SIZE > gh.old.free_bytes() {
-            return Err(GcError::Heap(HeapError::NeedGc { requested: demand }));
-        }
-        // Destination assignment: the cursor is a prefix sum over survivor
-        // sizes (DESIGN.md §13), so ranges only need the shape milestone.
-        let mut promos: Vec<Promo> = Vec::new();
-        let mut t_fwd = t_shape;
-        for (s, e) in chunk_ranges(survivors.len(), threads) {
-            let ticket = sched.begin(PacketKind::MinorChunk, t_shape);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            for &(obj, shape, large) in &survivors[s..e] {
-                let dst = gh.old.adopt_at_top(kernel, shape)?;
-                t += kernel.write_word(gh.old.space(), core, obj.forwarding_va(), dst.0.get())?;
-                stats.promoted_bytes += shape.size_bytes();
-                promos.push(Promo {
-                    src: obj,
-                    dst,
-                    size: shape.size_bytes(),
-                    large,
-                });
-            }
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, (e - s) as u64);
-            t_fwd = t_fwd.max(done);
-        }
-        stats.promoted_objects = promos.len() as u64;
-        watchdog.check("minor-forward", t_fwd)?;
-
-        // ---- Bucket 3: adjust ----------------------------------------
-        // Promotion-batch partition, computed now so every adjust access
-        // to a forwarding word records the batch it constrains.
-        let batch_bounds = chunk_ranges(promos.len(), threads);
-        let mut batch_ready: Vec<Cycles> = vec![Cycles::ZERO; batch_bounds.len()];
-        let mut batch_of_promo = vec![0usize; promos.len()];
-        for (bi, &(s, e)) in batch_bounds.iter().enumerate() {
-            for b in batch_of_promo.iter_mut().take(e).skip(s) {
-                *b = bi;
-            }
-        }
-        // Promos are in ascending source (eden) order by construction.
-        let promo_batch_of = |src: ObjRef| -> Option<usize> {
-            promos
-                .binary_search_by(|p| p.src.0.cmp(&src.0))
-                .ok()
-                .map(|i| batch_of_promo[i])
-        };
-        let fold = |conflicts: &[usize], done: Cycles, ready: &mut [Cycles]| {
-            for &b in conflicts {
-                ready[b] = ready[b].max(done);
-            }
-        };
-        let mut t_adj = t_fwd;
-        {
-            // Root slots (the VM thread's packet).
-            let ticket = sched.begin(PacketKind::MinorChunk, t_fwd);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            let mut conflicts: Vec<usize> = Vec::new();
-            let mut slots = 0u64;
-            for slot in roots.slots_mut() {
-                if !slot.is_null() && slot.0 >= eden_base && slot.0 < eden_end {
-                    let (fwd, c) = kernel.read_word(gh.old.space(), core, slot.forwarding_va())?;
-                    t += c;
-                    if let Some(b) = promo_batch_of(*slot) {
-                        conflicts.push(b);
-                    }
-                    *slot = ObjRef(VirtAddr(fwd));
-                    slots += 1;
-                }
-            }
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, slots);
-            fold(&conflicts, done, &mut batch_ready);
-            t_adj = t_adj.max(done);
-        }
-        // Old-generation fields discovered via cards.
-        for (s, e) in chunk_ranges(old_slots.len(), threads) {
-            let ticket = sched.begin(PacketKind::MinorChunk, t_fwd);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            let mut conflicts: Vec<usize> = Vec::new();
-            for &(holder, field) in &old_slots[s..e] {
-                let (tgt, tc) = gh.old.read_ref(kernel, core, holder, field)?;
-                t += tc;
-                if !tgt.is_null() && gh.in_young(tgt.0) {
-                    let (fwd, c) = kernel.read_word(gh.old.space(), core, tgt.forwarding_va())?;
-                    t += c;
-                    t += gh.old.write_ref(kernel, core, holder, field, ObjRef(VirtAddr(fwd)))?;
-                    if let Some(b) = promo_batch_of(tgt) {
-                        conflicts.push(b);
-                    }
-                }
-            }
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, (e - s) as u64);
-            fold(&conflicts, done, &mut batch_ready);
-            t_adj = t_adj.max(done);
-        }
-        // Survivors' own fields share the promotion-batch partition, so
-        // chunk `bi`'s writes land in batch `bi` by construction.
-        for (bi, &(s, e)) in batch_bounds.iter().enumerate() {
-            let ticket = sched.begin(PacketKind::MinorChunk, t_fwd);
-            let core = sched.core(&ticket);
-            let mut t = Cycles::ZERO;
-            let mut conflicts: Vec<usize> = vec![bi];
-            for p in &promos[s..e] {
-                let (hdr, ht) = gh.old.read_header(kernel, core, p.src)?;
-                t += ht;
-                for i in 0..hdr.num_refs as u64 {
-                    let (tgt, tc) = gh.old.read_ref(kernel, core, p.src, i)?;
-                    t += tc;
-                    if !tgt.is_null() && gh.in_young(tgt.0) {
-                        let (fwd, c) =
-                            kernel.read_word(gh.old.space(), core, tgt.forwarding_va())?;
-                        t += c;
-                        t += gh.old.write_ref(kernel, core, p.src, i, ObjRef(VirtAddr(fwd)))?;
-                        if let Some(b) = promo_batch_of(tgt) {
-                            conflicts.push(b);
-                        }
-                    }
-                }
-            }
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, (e - s) as u64);
-            fold(&conflicts, done, &mut batch_ready);
-            t_adj = t_adj.max(done);
-        }
-        watchdog.check("minor-adjust", t_adj)?;
-
-        // ---- Bucket 4: promote ---------------------------------------
-        let threshold_pages = gh.old.threshold_pages();
-        let swap_opts = SwapVaOptions {
-            pmd_cache: self.cfg.pmd_cache,
-            overlap_opt: false, // Table I: not applicable to Minor copying
-            flush: FlushMode::LocalOnly,
-        };
-        let any_swaps = self.cfg.use_swapva
-            && promos.iter().any(|p| {
-                p.large && p.src.0.is_page_aligned() && p.dst.0.is_page_aligned()
-            });
-        if any_swaps {
-            // Algorithm 4 prologue: a global sync point every worker
-            // stalls for, positioned at the adjust milestone.
-            kernel.trace.set_base(trace_start + t_adj);
-            let asid = gh.old.space().asid();
-            let c0 = sched.pool().core_of(0, cores);
-            let pin = kernel.pin(c0);
-            let (b, intf) = kernel.flush_asid_all_cores(c0, asid);
-            sched.charge_all(pin + b);
-            stats.interference += intf.0;
-            if let Some(point) = kernel.crashed() {
-                return Err(GcError::Crashed { point });
-            }
-        }
-        let mut t_end = t_adj;
-        for (bi, &(s, e)) in batch_bounds.iter().enumerate() {
-            let ready = batch_ready[bi].max(t_fwd);
-            let ticket = sched.begin(PacketKind::MinorChunk, ready);
-            let core = sched.core(&ticket);
-            kernel.trace.set_base(trace_start + ticket.placement.start);
-            let mut t = Cycles::ZERO;
-            let mut batch = SwapBatch::new(
-                self.cfg.aggregation.unwrap_or(1),
-                8 * threshold_pages.max(1),
-            );
-            for p in &promos[s..e] {
-                let pages = p.size.div_ceil(PAGE_SIZE);
-                let swappable = self.cfg.use_swapva
-                    && p.large
-                    && pages >= threshold_pages
-                    && p.src.0.is_page_aligned()
-                    && p.dst.0.is_page_aligned();
-                if swappable {
-                    debug_assert!(
-                        !(SwapRequest { a: p.src.0, b: p.dst.0, pages }).overlaps(),
-                        "eden and old generation must be disjoint"
-                    );
-                    stats.swapped_objects += 1;
-                    if batch.push(SwapRequest { a: p.src.0, b: p.dst.0, pages }, p.size) {
-                        t += Self::flush_promotions(
-                            kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
-                        )?;
-                        watchdog.check("minor-promote", ticket.placement.start + t)?;
-                    }
-                } else {
-                    t += kernel.memmove(gh.old.space(), core, p.src.0, p.dst.0, p.size)?;
-                }
-            }
-            if !batch.is_empty() {
-                t += Self::flush_promotions(
-                    kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
-                )?;
-            }
-            // Clear this batch's destinations' forwarding words. The
-            // clears run on the same core as the batch's swaps — which
-            // LocalOnly-flushed it — so no extra TLB pass is needed.
-            for p in &promos[s..e] {
-                t += kernel.write_word(gh.old.space(), core, p.dst.forwarding_va(), 0)?;
-            }
-            let done = sched.finish(ticket, t);
-            sched.emit_span(&mut kernel.trace, trace_start, &ticket, t, (e - s) as u64);
-            t_end = t_end.max(done);
-        }
-        t_end = t_end.max(sched.makespan());
-        if any_swaps {
-            // Algorithm 4 epilogue: one final broadcast for the mutators.
-            kernel.trace.set_base(trace_start + t_end);
-            let asid = gh.old.space().asid();
-            let c0 = sched.pool().core_of(0, cores);
-            let (b, intf) = kernel.flush_asid_all_cores(c0, asid);
-            sched.charge_all(b + kernel.unpin());
-            stats.interference += intf.0;
-            if let Some(point) = kernel.crashed() {
-                return Err(GcError::Crashed { point });
-            }
-        }
-
-        stats.pause = sched.makespan();
-        watchdog.check("minor-promote", stats.pause)?;
-        kernel.trace.span_abs(
-            TraceKind::MinorCycle,
-            trace_start,
-            stats.pause,
-            0,
-            &[
-                ("promoted", stats.promoted_objects),
-                ("swapped", stats.swapped_objects),
-                ("dead_young", stats.dead_young),
-            ],
-        );
-        kernel.trace.set_base(trace_start + stats.pause);
-        kernel.perf.gc_cycles += 1;
-        kernel.perf.objects_moved += stats.promoted_objects;
-        kernel.perf.objects_swapped += stats.swapped_objects;
-        Ok(stats)
-    }
-
     /// Flush a promotion batch through the resilient executor, rebooking
-    /// fallback promotions in the stats (see the barrier path's rebooking
-    /// comments — batches are cleared on every flush, so each fallback is
-    /// rebooked at most once). Returns the cycles charged to the worker.
+    /// fallback promotions in the stats. Fallback indices are distinct
+    /// within one call and the batch is cleared on every flush, so each
+    /// fallback is rebooked at most once; the subtraction saturates (as
+    /// the full collector's does) so a miscount degrades the stats instead
+    /// of panicking. Returns the cycles charged to the worker.
     fn flush_promotions(
         kernel: &mut Kernel,
         gh: &mut GenHeap,

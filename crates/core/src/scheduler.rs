@@ -2,13 +2,10 @@
 //!
 //! GC phases are executed host-sequentially (the functional side effects on
 //! simulated memory happen in heap order, which is what makes sliding
-//! compaction safe), while *time* is attributed to N simulated workers:
-//!
-//! * [`WorkerPool::dispatch`] — greedy least-loaded assignment, the
-//!   classic makespan model of a work-stealing pool (SVAGC, ParallelGC).
-//! * [`WorkerPool::dispatch_static`] — round-robin-by-chunk assignment
-//!   modeling a statically partitioned phase with *no* stealing
-//!   (Shenandoah's copy phase, per §V-A), which suffers under skew.
+//! compaction safe), while *time* is attributed to N simulated workers,
+//! each with its own virtual clock. [`crate::packets::PacketScheduler`]
+//! decides which worker runs each piece of work and when; this module is
+//! the clock model it drives.
 //!
 //! The phase cost is the [`WorkerPool::makespan`]: the pause ends when the
 //! slowest worker finishes. Determinism is total — same inputs, same
@@ -17,21 +14,7 @@
 use svagc_kernel::CoreId;
 use svagc_metrics::Cycles;
 
-/// Where a work packet lands when placed on a [`WorkerPool`]: the chosen
-/// worker, the virtual time execution begins, and whether the packet was
-/// stolen off its owner's deque.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Worker the packet executes on.
-    pub worker: usize,
-    /// Virtual time the packet starts: `max(worker clock, ready time)`,
-    /// plus the steal charge when executed off-owner.
-    pub start: Cycles,
-    /// True when the executing worker is not the packet's owner.
-    pub stolen: bool,
-}
-
-/// Saturating clock charge shared by every dispatch path. Worker clocks
+/// Saturating clock charge shared by every charging path. Worker clocks
 /// must never wrap — a wrapped clock reports a tiny makespan, which an
 /// adversarial deadline/cost config could otherwise exploit. The first
 /// saturation is tolerated (the clock clamps at `u64::MAX`, keeping the
@@ -52,8 +35,6 @@ fn charge(load: &mut u64, cost: Cycles) {
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     loads: Vec<u64>,
-    /// Next chunk index for static dispatch.
-    rr: usize,
     /// First core this pool's workers are pinned to (worker `w` runs on
     /// core `(base + w) % cores`). Distinct collectors sharing a machine
     /// (multi-JVM) use disjoint bases so their pinned cores never collide.
@@ -67,11 +48,11 @@ impl WorkerPool {
     /// use svagc_core::WorkerPool;
     /// use svagc_metrics::Cycles;
     ///
-    /// let mut pool = WorkerPool::new(4);
-    /// for cost in [100, 100, 100, 100, 50, 50] {
-    ///     pool.dispatch(Cycles(cost)); // least-loaded worker takes it
-    /// }
-    /// assert_eq!(pool.makespan(), Cycles(150)); // the slowest worker
+    /// let mut pool = WorkerPool::new(2);
+    /// pool.dispatch_to(0, Cycles(100));
+    /// pool.dispatch_to(1, Cycles(40));
+    /// assert_eq!(pool.makespan(), Cycles(100)); // the slowest worker
+    /// assert_eq!(pool.least_loaded(2), 1);
     /// ```
     pub fn new(n: usize) -> WorkerPool {
         WorkerPool::with_core_base(n, 0)
@@ -85,7 +66,6 @@ impl WorkerPool {
         assert!(n >= 1, "at least one GC worker");
         WorkerPool {
             loads: vec![0; n],
-            rr: 0,
             base: core_base,
         }
     }
@@ -103,15 +83,16 @@ impl WorkerPool {
         self.loads.is_empty()
     }
 
-    /// Worker `w`'s current virtual clock (its position within the phase).
+    /// Worker `w`'s current virtual clock.
     pub fn load(&self, w: usize) -> Cycles {
         Cycles(self.loads[w])
     }
 
-    /// The least-loaded worker — where a work-stealing pool's next item
-    /// lands. Ties break to the lowest index (determinism).
-    pub fn least_loaded(&self) -> usize {
-        self.loads
+    /// The least-loaded of workers `0..among` — where a work-stealing
+    /// pool's next item lands. Ties break to the lowest index
+    /// (determinism).
+    pub fn least_loaded(&self, among: usize) -> usize {
+        self.loads[..among.clamp(1, self.loads.len())]
             .iter()
             .enumerate()
             .min_by_key(|&(i, &l)| (l, i))
@@ -119,34 +100,19 @@ impl WorkerPool {
             .expect("WorkerPool invariant: constructed with at least one worker")
     }
 
-    /// Charge `cost` to the least-loaded worker; returns who got it.
-    pub fn dispatch(&mut self, cost: Cycles) -> usize {
-        let w = self.least_loaded();
-        charge(&mut self.loads[w], cost);
-        w
-    }
-
-    /// Charge `cost` to worker `w` explicitly.
+    /// Charge `cost` to worker `w`.
     pub fn dispatch_to(&mut self, w: usize, cost: Cycles) {
         charge(&mut self.loads[w], cost);
     }
 
-    /// Static (non-stealing) dispatch: items are assigned to workers in
-    /// fixed round-robin order regardless of load.
-    ///
-    /// Lifecycle: the round-robin cursor persists across
-    /// [`WorkerPool::barrier`] (a barrier synchronizes *clocks*, not work
-    /// assignment) and is cleared only by [`WorkerPool::reset`]. A phase
-    /// that reuses a pool without `reset()` therefore starts its first
-    /// assignment wherever the previous phase's item count left the
-    /// cursor — callers running distinct phases (see
-    /// `Lisp2Collector::collect`) must `reset()` between them so a phase's
-    /// schedule depends only on its own inputs.
-    pub fn dispatch_static(&mut self, cost: Cycles) -> usize {
-        let w = self.rr % self.loads.len();
-        self.rr += 1;
-        charge(&mut self.loads[w], cost);
-        w
+    /// Run worker `w` from `start` (at or after its clock — the gap is the
+    /// worker idling until the work was ready) for `cost` cycles.
+    pub fn run_at(&mut self, w: usize, start: Cycles, cost: Cycles) {
+        debug_assert!(
+            start.get() >= self.loads[w],
+            "work must start at or after the worker's clock"
+        );
+        self.loads[w] = start.get().saturating_add(cost.get());
     }
 
     /// The core a worker runs on: worker `w` is pinned to core
@@ -157,89 +123,23 @@ impl WorkerPool {
         CoreId((self.base + worker) % total_cores)
     }
 
-    /// Pick where a work packet executes and when it starts, without
-    /// charging anything yet (the packet's cost is only known after its
-    /// functional effects run; callers follow up with
-    /// [`WorkerPool::commit_packet`]).
-    ///
-    /// The packet becomes runnable at virtual time `ready` (the completion
-    /// of its dependencies) and lives on `owner`'s deque. Every worker is
-    /// a candidate: worker `w` could start it at `max(load(w), ready)`,
-    /// plus `steal_cost` when `w != owner` (popping a remote deque). The
-    /// earliest start wins; ties break owner-first, then lowest index —
-    /// fully deterministic.
-    pub fn place_packet(&self, owner: usize, ready: Cycles, steal_cost: Cycles) -> Placement {
-        let (worker, start, stolen) = self
-            .loads
-            .iter()
-            .enumerate()
-            .map(|(w, &l)| {
-                let stolen = w != owner;
-                let base = l.max(ready.get());
-                let start = if stolen {
-                    base.saturating_add(steal_cost.get())
-                } else {
-                    base
-                };
-                (w, start, stolen)
-            })
-            .min_by_key(|&(w, start, stolen)| (start, stolen, w))
-            .expect("WorkerPool invariant: constructed with at least one worker");
-        Placement {
-            worker,
-            start: Cycles(start),
-            stolen,
-        }
-    }
-
-    /// Complete a placed packet: advance the executing worker's clock to
-    /// `start + cost`. The clock may jump forward past its previous value
-    /// even for `cost == 0` — that is the worker idling until the packet's
-    /// dependencies resolved.
-    pub fn commit_packet(&mut self, p: Placement, cost: Cycles) {
-        let end = p.start.get().saturating_add(cost.get());
-        debug_assert!(
-            end >= self.loads[p.worker],
-            "packet commit must move the worker clock forward"
-        );
-        self.loads[p.worker] = end;
-    }
-
     /// Phase wall time: the slowest worker's clock.
     pub fn makespan(&self) -> Cycles {
         Cycles(self.loads.iter().copied().max().unwrap_or(0))
     }
 
-    /// Sum of all work (for utilization statistics).
-    pub fn total_work(&self) -> Cycles {
-        Cycles(self.loads.iter().sum())
-    }
-
-    /// Charge `cost` to *every* worker (a barrier-side operation like a
-    /// per-worker local flush).
+    /// Charge `cost` to *every* worker (an IPI stall or a per-worker local
+    /// flush).
     pub fn charge_all(&mut self, cost: Cycles) {
         for l in &mut self.loads {
             charge(l, cost);
         }
     }
 
-    /// Synchronize all workers to the makespan (phase barrier), returning
-    /// the barrier time. Does *not* touch the static-dispatch cursor —
-    /// use [`WorkerPool::reset`] when starting an unrelated phase.
-    pub fn barrier(&mut self) -> Cycles {
-        let m = self.makespan().get();
-        for l in &mut self.loads {
-            *l = m;
-        }
-        Cycles(m)
-    }
-
-    /// Reset all clocks to zero and rewind the static-dispatch cursor
-    /// (new phase): after `reset()` a phase's schedule is a pure function
-    /// of its own dispatch sequence.
-    pub fn reset(&mut self) {
-        self.loads.fill(0);
-        self.rr = 0;
+    /// Phase barrier: every worker waits for the slowest, and for `at`.
+    pub fn join(&mut self, at: Cycles) {
+        let m = self.makespan().max(at).get();
+        self.loads.fill(m);
     }
 }
 
@@ -248,61 +148,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn greedy_dispatch_balances() {
+    fn least_loaded_balances_and_breaks_ties_low() {
         let mut p = WorkerPool::new(4);
         // 8 equal items over 4 workers: perfect balance.
         for _ in 0..8 {
-            p.dispatch(Cycles(10));
+            let w = p.least_loaded(4);
+            p.dispatch_to(w, Cycles(10));
         }
         assert_eq!(p.makespan(), Cycles(20));
-        assert_eq!(p.total_work(), Cycles(80));
+        assert_eq!(p.least_loaded(4), 0, "all tied: lowest index");
+        p.dispatch_to(0, Cycles(1));
+        assert_eq!(p.least_loaded(4), 1);
+        assert_eq!(p.least_loaded(1), 0, "restricted to worker 0");
     }
 
     #[test]
-    fn greedy_handles_skew_like_stealing() {
-        let mut p = WorkerPool::new(2);
-        // One huge item then many small: the other worker absorbs the rest.
-        p.dispatch(Cycles(100));
-        for _ in 0..10 {
-            p.dispatch(Cycles(10));
-        }
-        assert_eq!(p.makespan(), Cycles(100));
-    }
-
-    #[test]
-    fn static_dispatch_suffers_skew() {
-        let mut greedy = WorkerPool::new(2);
-        let mut fixed = WorkerPool::new(2);
-        // Alternating big/small items: round-robin puts all bigs on one
-        // worker half the time... here all bigs land on worker 0.
-        for i in 0..10 {
-            let c = if i % 2 == 0 { Cycles(100) } else { Cycles(1) };
-            greedy.dispatch(c);
-            fixed.dispatch_static(c);
-        }
-        assert!(fixed.makespan().get() > greedy.makespan().get());
-        assert_eq!(fixed.makespan(), Cycles(500));
-    }
-
-    #[test]
-    fn single_worker_serializes() {
-        let mut p = WorkerPool::new(1);
-        for _ in 0..5 {
-            p.dispatch(Cycles(7));
-        }
-        assert_eq!(p.makespan(), Cycles(35));
-    }
-
-    #[test]
-    fn barrier_aligns_clocks() {
+    fn join_aligns_clocks() {
         let mut p = WorkerPool::new(3);
         p.dispatch_to(0, Cycles(5));
         p.dispatch_to(1, Cycles(50));
-        let b = p.barrier();
-        assert_eq!(b, Cycles(50));
-        // After the barrier everyone continues from 50.
-        p.dispatch(Cycles(1));
-        assert_eq!(p.makespan(), Cycles(51));
+        p.join(Cycles::ZERO);
+        assert!((0..3).all(|w| p.load(w) == Cycles(50)));
+        // A milestone past the makespan moves every clock to it.
+        p.join(Cycles(70));
+        assert!((0..3).all(|w| p.load(w) == Cycles(70)));
     }
 
     #[test]
@@ -310,18 +179,7 @@ mod tests {
         let mut p = WorkerPool::new(4);
         p.charge_all(Cycles(10));
         assert_eq!(p.makespan(), Cycles(10));
-        assert_eq!(p.total_work(), Cycles(40));
-    }
-
-    #[test]
-    fn deterministic_tie_breaking() {
-        let mut a = WorkerPool::new(3);
-        let mut b = WorkerPool::new(3);
-        for i in 0..100 {
-            let c = Cycles(1 + (i * 7919) % 13);
-            assert_eq!(a.dispatch(c), b.dispatch(c));
-        }
-        assert_eq!(a.makespan(), b.makespan());
+        assert!((0..4).all(|w| p.load(w) == Cycles(10)));
     }
 
     #[test]
@@ -358,63 +216,27 @@ mod tests {
     #[test]
     fn clock_charges_saturate_instead_of_wrapping() {
         // Regression: unchecked `+=` let an adversarial cost wrap a worker
-        // clock back to ~0 and report a tiny makespan. All four charge
-        // paths must clamp at u64::MAX instead.
+        // clock back to ~0 and report a tiny makespan. Every charge path
+        // must clamp at u64::MAX instead.
         let near_max = Cycles(u64::MAX - 50);
         let mut p = WorkerPool::new(2);
         p.dispatch_to(0, near_max);
-        p.dispatch_to(1, near_max);
-        // One more saturating charge per path; none may wrap.
         p.dispatch_to(0, Cycles(100));
         assert_eq!(p.load(0), Cycles(u64::MAX));
-        p.reset();
-        p.charge_all(near_max);
-        p.charge_all(Cycles(100));
-        assert_eq!(p.makespan(), Cycles(u64::MAX), "charge_all clamps");
-        p.reset();
-        p.dispatch(near_max);
-        p.dispatch(near_max);
-        assert_eq!(p.dispatch(Cycles(100)), 0, "ties still break low");
-        assert_eq!(p.load(0), Cycles(u64::MAX));
-        p.reset();
-        p.dispatch_static(near_max);
-        p.dispatch_static(near_max);
-        p.dispatch_static(Cycles(100));
-        assert_eq!(p.makespan(), Cycles(u64::MAX), "static dispatch clamps");
+        let mut q = WorkerPool::new(2);
+        q.charge_all(near_max);
+        q.charge_all(Cycles(100));
+        assert_eq!(q.makespan(), Cycles(u64::MAX), "charge_all clamps");
+        let mut r = WorkerPool::new(1);
+        r.run_at(0, near_max, Cycles(100));
+        assert_eq!(r.load(0), Cycles(u64::MAX), "run_at clamps");
     }
 
     #[test]
-    fn place_packet_prefers_owner_on_ties() {
-        let p = WorkerPool::new(3);
-        // All clocks zero: owner 1 starts at 0; stealing would cost 5.
-        let pl = p.place_packet(1, Cycles::ZERO, Cycles(5));
-        assert_eq!(pl.worker, 1);
-        assert_eq!(pl.start, Cycles::ZERO);
-        assert!(!pl.stolen);
-    }
-
-    #[test]
-    fn place_packet_steals_when_profitable() {
+    fn run_at_advances_clock_past_idle_gaps() {
         let mut p = WorkerPool::new(2);
-        p.dispatch_to(0, Cycles(100)); // owner 0 is busy until 100
-        let pl = p.place_packet(0, Cycles::ZERO, Cycles(5));
-        assert_eq!(pl.worker, 1, "idle worker 1 steals");
-        assert_eq!(pl.start, Cycles(5), "steal charge delays the start");
-        assert!(pl.stolen);
-        // A steal cost above the owner's backlog keeps the packet home.
-        let pl = p.place_packet(0, Cycles::ZERO, Cycles(200));
-        assert_eq!(pl.worker, 0);
-        assert!(!pl.stolen);
-    }
-
-    #[test]
-    fn commit_packet_advances_clock_past_idle_gaps() {
-        let mut p = WorkerPool::new(2);
-        // A packet only ready at t=40 on an idle worker: the worker waits.
-        let pl = p.place_packet(0, Cycles(40), Cycles(5));
-        assert_eq!(pl.worker, 0);
-        assert_eq!(pl.start, Cycles(40));
-        p.commit_packet(pl, Cycles(10));
+        // Work only ready at t=40 on an idle worker: the worker waits.
+        p.run_at(0, Cycles(40), Cycles(10));
         assert_eq!(p.load(0), Cycles(50), "idle gap counts toward the clock");
         assert_eq!(p.load(1), Cycles::ZERO);
     }
@@ -434,47 +256,5 @@ mod tests {
     #[should_panic(expected = "at least one GC worker")]
     fn zero_worker_pool_rejected() {
         let _ = WorkerPool::new(0);
-    }
-
-    #[test]
-    fn load_exposes_per_worker_clock() {
-        let mut p = WorkerPool::new(3);
-        p.dispatch_to(1, Cycles(42));
-        assert_eq!(p.load(0), Cycles::ZERO);
-        assert_eq!(p.load(1), Cycles(42));
-    }
-
-    #[test]
-    fn reset_makes_static_dispatch_phase_deterministic() {
-        // Two pools run a first "phase" with *different* item counts, then
-        // reset. The next phase's static schedule must be identical — the
-        // round-robin cursor may not leak across reset().
-        let mut a = WorkerPool::new(3);
-        let mut b = WorkerPool::new(3);
-        for _ in 0..4 {
-            a.dispatch_static(Cycles(5));
-        }
-        for _ in 0..7 {
-            b.dispatch_static(Cycles(5));
-        }
-        a.reset();
-        b.reset();
-        for i in 0..10 {
-            let c = Cycles(1 + i);
-            assert_eq!(a.dispatch_static(c), b.dispatch_static(c), "item {i}");
-        }
-        assert_eq!(a.makespan(), b.makespan());
-    }
-
-    #[test]
-    fn barrier_preserves_static_cursor() {
-        // Documented behavior: a barrier is mid-phase synchronization, so
-        // round-robin placement continues where it left off.
-        let mut p = WorkerPool::new(2);
-        assert_eq!(p.dispatch_static(Cycles(1)), 0);
-        p.barrier();
-        assert_eq!(p.dispatch_static(Cycles(1)), 1, "cursor survives barrier");
-        p.reset();
-        assert_eq!(p.dispatch_static(Cycles(1)), 0, "reset rewinds cursor");
     }
 }

@@ -224,7 +224,7 @@ impl GcLog {
         self.cycles.iter().map(|c| c.mode).max().unwrap_or(0)
     }
 
-    /// Total work packets executed across cycles (packet scheduler only).
+    /// Total work packets executed across cycles (packets policy only).
     pub fn total_sched_packets(&self) -> u64 {
         self.cycles.iter().map(|c| c.sched_packets).sum()
     }

@@ -1,7 +1,8 @@
-//! End-to-end tests of the work-packet scheduler (`SchedulerKind::Packets`):
-//! heap effects identical to the barrier pipeline, schedules deterministic,
-//! and bucket overlap strictly beating the four-barrier pipeline on skewed
-//! work.
+//! End-to-end tests of the GC schedule engine under both bucket policies
+//! (`SchedulerKind::Barrier` and `SchedulerKind::Packets`): heap effects
+//! identical under either, schedules deterministic and pinned to golden
+//! values, and bucket overlap strictly beating the barrier policy on
+//! skewed work.
 
 use svagc_core::{GcConfig, Lisp2Collector, SchedulerKind};
 use svagc_heap::{Heap, HeapConfig, HeapVerifier, ObjRef, ObjShape, RootSet};
@@ -102,11 +103,11 @@ fn packet_schedule_is_deterministic_across_runs() {
 
 #[test]
 fn static_dispatch_schedule_is_deterministic_across_runs() {
-    // Pins the four `dispatch_static(Cycles::ZERO)` sites in the barrier
-    // pipeline (`work_stealing: false`, the Shenandoah-style static
-    // partition): each phase's round-robin cursor starts at zero — fresh
-    // pool or explicit reset() — so the whole schedule is a pure function
-    // of the cycle's input and repeated runs agree bit for bit.
+    // Pins round-robin placement under the barrier policy
+    // (`work_stealing: false`, the Shenandoah-style static partition):
+    // every bucket rewinds the round-robin cursor when it opens, so the
+    // whole schedule is a pure function of the cycle's input and repeated
+    // runs agree bit for bit.
     let cfg = GcConfig::svagc(4).with_stealing(false);
     let (h1, l1, t1, s1) = run_mixed(cfg);
     let (h2, l2, t2, s2) = run_mixed(cfg);
@@ -238,4 +239,195 @@ fn packets_survive_repeated_cycles_with_verification() {
         assert!(stats.live_objects > 0);
         assert_eq!(stats.verify_violations, 0);
     }
+}
+
+/// The schedule-relevant fields of one cycle: the four phase makespans,
+/// the shootdown charge, interference, the move/swap/memmove volumes and
+/// the packet counters.
+fn schedule_fields(s: &svagc_core::GcCycleStats) -> [u64; 13] {
+    [
+        s.phases.mark.get(),
+        s.phases.forward.get(),
+        s.phases.adjust.get(),
+        s.phases.compact.get(),
+        s.phases.shootdown.get(),
+        s.interference.get(),
+        s.swapped_objects,
+        s.swapped_bytes,
+        s.moved_objects,
+        s.memmove_bytes,
+        s.sched_packets,
+        s.sched_steals,
+        s.sched_steal_cycles,
+    ]
+}
+
+/// Every (policy, workers, variant) configuration the golden test pins.
+fn golden_configs() -> Vec<(String, GcConfig)> {
+    let mut out = Vec::new();
+    for kind in [SchedulerKind::Barrier, SchedulerKind::Packets] {
+        for workers in [1usize, 2, 4] {
+            let base = GcConfig::svagc(workers).with_scheduler(kind);
+            for (variant, cfg) in [
+                ("stealing", base),
+                ("static", base.with_stealing(false)),
+                ("serial-compact", base.with_compact_threads(Some(1))),
+            ] {
+                out.push((format!("{}/{workers}/{variant}", kind.name()), cfg));
+            }
+        }
+    }
+    out
+}
+
+/// One scavenge of a nursery reached from roots *and* from dirty old
+/// cards, with large survivors on the SwapVA promotion path. Returns
+/// `[pause, promoted, promoted bytes, swapped, dead young, scanned
+/// cards, scanned objects, interference]`.
+fn minor_schedule_fields(kind: SchedulerKind) -> [u64; 8] {
+    use svagc_core::{MinorConfig, MinorGc};
+    use svagc_heap::GenHeap;
+    let mut k = Kernel::with_bytes(MachineConfig::i5_7600(), 64 << 20);
+    let mut gh = GenHeap::new(&mut k, Asid(1), 32 << 20, 8 << 20, 10).unwrap();
+    let mut roots = RootSet::new();
+    let mut holders = Vec::new();
+    for _ in 0..12u64 {
+        let (old, _) = gh
+            .old
+            .alloc(&mut k, CORE, ObjShape::with_refs(4, 60))
+            .unwrap();
+        roots.push(old);
+        holders.push(old);
+    }
+    let mut prev = ObjRef::NULL;
+    for i in 0..40u64 {
+        let (obj, _) = gh
+            .alloc_young(&mut k, CORE, ObjShape::with_refs(2, 14))
+            .unwrap();
+        gh.old.write_data(&mut k, CORE, obj, 2, 0, 4_000 + i).unwrap();
+        if !prev.is_null() {
+            gh.old.write_ref(&mut k, CORE, obj, 0, prev).unwrap();
+        }
+        prev = obj;
+        if i % 3 == 0 {
+            roots.push(obj);
+        }
+        if i % 5 == 0 {
+            let holder = holders[(i as usize / 5) % holders.len()];
+            gh.write_ref_barrier(&mut k, CORE, holder, (i / 5) % 4, obj)
+                .unwrap();
+        }
+        if i % 8 == 0 {
+            let (big, _) = gh
+                .alloc_young(&mut k, CORE, ObjShape::data_bytes(12 * PAGE_SIZE))
+                .unwrap();
+            roots.push(big);
+        }
+    }
+    let mut minor = MinorGc::new(MinorConfig::svagc(4).with_scheduler(kind));
+    let s = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
+    [
+        s.pause.get(),
+        s.promoted_objects,
+        s.promoted_bytes,
+        s.swapped_objects,
+        s.dead_young,
+        s.scanned_cards,
+        s.scanned_objects,
+        s.interference.get(),
+    ]
+}
+
+/// Golden schedules for [`golden_configs`]. The barrier rows and the
+/// packets rows with default settings were recorded before the barrier
+/// pipeline became a bucket policy of the packet scheduler and must never
+/// move. The packets rows with stealing off or a serial compactor differ
+/// from that recording on purpose: the packet path used to ignore both
+/// settings and reported its "stealing" row for them.
+#[rustfmt::skip]
+const GOLDEN: [(&str, [u64; 13]); 18] = [
+    ("barrier/1/stealing", [38696, 14242, 103589, 25949, 15200, 12000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/1/static", [38696, 14242, 103589, 25949, 15200, 12000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/1/serial-compact", [38696, 14242, 103589, 25949, 15200, 12000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/2/stealing", [20088, 7382, 52475, 19956, 15200, 14000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/2/static", [20401, 9402, 52469, 19956, 15200, 14000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/2/serial-compact", [20088, 7382, 52475, 25949, 15200, 12000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/4/stealing", [10646, 3946, 26909, 20865, 15200, 18000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/4/static", [10646, 5039, 26909, 20865, 15200, 18000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("barrier/4/serial-compact", [10646, 3946, 26909, 25949, 15200, 12000, 4, 196672, 63, 12272, 0, 0, 0]),
+    ("packets/1/stealing", [38696, 14242, 103589, 24983, 15200, 12000, 4, 196672, 63, 12272, 34, 0, 0]),
+    ("packets/1/static", [38696, 14242, 103589, 24983, 15200, 12000, 4, 196672, 63, 12272, 34, 0, 0]),
+    ("packets/1/serial-compact", [38696, 14242, 103589, 24983, 15200, 12000, 4, 196672, 63, 12272, 34, 0, 0]),
+    ("packets/2/stealing", [34748, 7794, 54528, 22798, 15200, 14000, 4, 196672, 63, 12272, 58, 7, 168]),
+    ("packets/2/static", [34748, 7935, 55877, 22798, 15200, 14000, 4, 196672, 63, 12272, 58, 0, 0]),
+    ("packets/2/serial-compact", [34748, 7794, 54528, 24983, 15200, 12000, 4, 196672, 63, 12272, 50, 7, 168]),
+    ("packets/4/stealing", [35510, 4338, 27408, 19121, 15200, 20000, 4, 196672, 63, 12272, 106, 42, 1008]),
+    ("packets/4/static", [35510, 4314, 28613, 19121, 15200, 20000, 4, 196672, 63, 12272, 106, 0, 0]),
+    ("packets/4/serial-compact", [35510, 4338, 27408, 24983, 15200, 12000, 4, 196672, 63, 12272, 82, 42, 1008]),
+];
+
+/// [`minor_schedule_fields`] for the barrier and packets policies,
+/// recorded with [`GOLDEN`]'s unchanged rows.
+const MINOR_GOLDEN: [(SchedulerKind, [u64; 8]); 2] = [
+    (SchedulerKind::Barrier, [24927, 45, 251600, 5, 0, 8, 8, 12000]),
+    (SchedulerKind::Packets, [46009, 45, 251600, 5, 0, 8, 8, 12000]),
+];
+
+#[test]
+fn schedules_match_golden_values() {
+    let configs = golden_configs();
+    assert_eq!(configs.len(), GOLDEN.len());
+    for ((name, cfg), (golden_name, want)) in configs.into_iter().zip(GOLDEN) {
+        assert_eq!(name, golden_name);
+        let (_, _, _, stats) = run_mixed(cfg);
+        assert_eq!(schedule_fields(&stats), want, "{name}");
+    }
+    for (kind, want) in MINOR_GOLDEN {
+        assert_eq!(minor_schedule_fields(kind), want, "minor {}", kind.name());
+    }
+}
+
+#[test]
+fn packets_without_stealing_record_zero_steals() {
+    for workers in [2usize, 4] {
+        let cfg = GcConfig::svagc(workers)
+            .with_scheduler(SchedulerKind::Packets)
+            .with_stealing(false);
+        let (_, _, _, stats) = run_mixed(cfg);
+        assert!(stats.sched_packets > 0);
+        assert_eq!(stats.sched_steals, 0, "{workers} workers");
+        assert_eq!(stats.sched_steal_cycles, 0, "{workers} workers");
+    }
+}
+
+#[cfg(feature = "trace")]
+#[test]
+fn packets_serial_compaction_runs_every_batch_on_worker_0() {
+    use svagc_core::PacketKind;
+    use svagc_metrics::{TraceKind, Tracer};
+    let (mut k, mut h, mut roots) = setup(32 << 20);
+    build_mixed(&mut k, &mut h, &mut roots);
+    k.trace = Tracer::enabled();
+    let cfg = GcConfig::svagc(4)
+        .with_scheduler(SchedulerKind::Packets)
+        .with_compact_threads(Some(1));
+    Lisp2Collector::new(cfg)
+        .collect(&mut k, &mut h, &mut roots)
+        .unwrap();
+    let workers = |compact: bool| -> Vec<u64> {
+        k.trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::Packet)
+            .filter(|e| (e.arg("kind") == Some(PacketKind::CompactBatch.id())) == compact)
+            .map(|e| e.arg("worker").unwrap())
+            .collect()
+    };
+    let compact = workers(true);
+    assert!(!compact.is_empty());
+    assert!(compact.iter().all(|&w| w == 0), "compact packets on {compact:?}");
+    assert!(
+        workers(false).iter().any(|&w| w > 0),
+        "the other buckets still run on all four workers"
+    );
 }

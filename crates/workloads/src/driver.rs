@@ -114,7 +114,7 @@ impl CollectorKind {
     /// Instantiate the collector with the full set of run-time knobs:
     /// post-phase verification, per-phase watchdog deadline,
     /// degraded-mode policy, (optionally) a SwapVA retry-policy
-    /// override, the scheduling substrate, and the core-affinity base.
+    /// override, the GC bucket policy, and the core-affinity base.
     /// The baseline wrappers (ParallelGC, Shenandoah) keep their own
     /// fixed configurations and ignore the transactional knobs.
     #[allow(clippy::too_many_arguments)]
@@ -287,8 +287,8 @@ pub struct RunConfig {
     /// Seeded write-ahead-log mutation (the crash-matrix teeth: a
     /// protocol corruption recovery MUST detect and fail closed on).
     pub wal_mutation: Option<WalMutation>,
-    /// Scheduling substrate for the GC phases: the four-barrier pipeline
-    /// (default) or dependency-ordered work packets with stealing.
+    /// Bucket policy of the GC schedule engine: the four-barrier pipeline
+    /// (default) or overlapping work packets with stealing.
     pub scheduler: SchedulerKind,
     /// First machine core this JVM's GC workers pin to (multi-JVM runs
     /// give each collector a disjoint base so pinned workers never share
@@ -435,7 +435,7 @@ impl RunConfig {
         self
     }
 
-    /// Select the GC scheduling substrate.
+    /// Select the GC schedule engine's bucket policy.
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> RunConfig {
         self.scheduler = kind;
         self
