@@ -11,6 +11,9 @@
 //! * `--out DIR` — where to write `BENCH_<id>.json` + `BENCH_summary.json`
 //!   (default: current directory).
 //! * `--no-bench-json` — skip writing BENCH files (text output only).
+//! * `--only ID[,ID…]` — run just these experiments (ids as in
+//!   `BENCH_<id>.json`, e.g. `--only fig11` or `--only pause_cdf,fig06`),
+//!   in the order given.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -28,7 +31,25 @@ fn main() -> ExitCode {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
 
-    let ids = runner::all_ids();
+    let ids: Vec<&str> = match args.iter().position(|a| a == "--only") {
+        Some(i) => {
+            let list = args.get(i + 1).map(String::as_str).unwrap_or("");
+            let ids: Vec<&str> = list.split(',').filter(|id| !id.is_empty()).collect();
+            if let Some(bad) = ids.iter().find(|id| runner::find(id).is_none()) {
+                eprintln!(
+                    "--only: unknown experiment {bad:?}; known ids: {}",
+                    runner::all_ids().join(",")
+                );
+                return ExitCode::FAILURE;
+            }
+            if ids.is_empty() {
+                eprintln!("--only needs a comma-separated list of experiment ids");
+                return ExitCode::FAILURE;
+            }
+            ids
+        }
+        None => runner::all_ids(),
+    };
     let outcomes = runner::run_ids(&ids, parallel);
     for o in &outcomes {
         print!("{}", o.report.text());
@@ -51,7 +72,11 @@ fn main() -> ExitCode {
     } else if parallel {
         // Always-on cheap probe: a couple of fast experiments re-run
         // serially must reproduce the parallel run bit-for-bit.
-        failures = runner::verify_against_serial(&outcomes, &runner::DETERMINISM_PROBE_IDS);
+        let probes: Vec<&str> = runner::DETERMINISM_PROBE_IDS
+            .into_iter()
+            .filter(|id| ids.contains(id))
+            .collect();
+        failures = runner::verify_against_serial(&outcomes, &probes);
     }
     for f in &failures {
         eprintln!("determinism check FAILED: {f}");

@@ -7,12 +7,12 @@
 //! * [`report`] — per-experiment report sink, BENCH JSON emitter, and
 //!   table/JSON output helpers.
 //! * [`runner`] — experiment registry plus the serial / host-parallel
-//!   runner used by `bin/all` and the thin per-figure binaries.
+//!   runner used by `bin/all` and `bin/ablations`.
 //! * [`gate`] — perf-regression comparison of a `BENCH_summary.json`
 //!   against a checked-in baseline (the CI perf gate).
 //!
-//! Each `src/bin/figNN_*` binary regenerates one figure; `bin/all` runs
-//! everything in paper order and can fan out across host threads with
+//! `bin/all` runs every experiment in paper order (or a subset with
+//! `--only fig11,table3`) and can fan out across host threads with
 //! `--parallel` (simulated output stays byte-identical to serial).
 
 pub mod ablations;

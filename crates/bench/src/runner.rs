@@ -1,5 +1,6 @@
 //! The experiment registry and the serial / host-parallel runner behind
-//! `bin/all`, `bin/ablations`, and the thin `bin/figNN_*` wrappers.
+//! `bin/all` (every experiment, or a subset via `--only`) and
+//! `bin/ablations`.
 //!
 //! Every entry in [`EXPERIMENTS`] is an independent simulation — it builds
 //! its own `Kernel`, `AddressSpace`, and counters — so fanning experiments
@@ -316,29 +317,6 @@ pub fn verify_against_serial(outcomes: &[Outcome], probe_ids: &[&str]) -> Vec<St
         }
     }
     bad
-}
-
-/// Pull `--out DIR` out of a raw argument list (for the thin bins).
-fn parse_out(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
-/// Entry point of the thin `bin/figNN_*` / `bin/tableN_*` wrappers: run
-/// one experiment, print its text, and honor `--out DIR` by writing the
-/// `BENCH_<id>.json` record.
-pub fn main_single(id: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let exp = find(id).unwrap_or_else(|| panic!("{id} is not a registered experiment"));
-    let o = run_experiment(exp);
-    print!("{}", o.report.text());
-    if let Some(dir) = parse_out(&args) {
-        let paths = write_bench_files(&dir, std::slice::from_ref(&o), false)
-            .unwrap_or_else(|e| panic!("cannot write BENCH files to {}: {e}", dir.display()));
-        println!("wrote {}", paths[0].display());
-    }
 }
 
 #[cfg(test)]

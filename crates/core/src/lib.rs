@@ -17,9 +17,10 @@
 //!   retry/fallback/split executor that keeps compaction alive under
 //!   injected SwapVA faults.
 //! * [`journal`] / [`watchdog`] / [`degrade`] — the transactional cycle
-//!   protocol: every collection is all-or-nothing (undo journal +
-//!   rollback), bounded in time (per-phase deadlines), and survivable
-//!   (the degraded-mode circuit breaker).
+//!   protocol: every collection, full or minor, runs through one
+//!   abort/retry loop and is all-or-nothing (undo log + rollback),
+//!   bounded in time (per-phase deadlines), and survivable (the
+//!   degraded-mode circuit breaker).
 //! * [`recovery`] — the crash-recovery state machine: classify the
 //!   write-ahead log after a simulated crash, undo torn cycles, and
 //!   rebuild a heap proven bit-identical to a pre- or post-cycle

@@ -22,12 +22,12 @@
 use crate::config::SchedulerKind;
 use crate::degrade::{DegradeController, DegradePolicy};
 use crate::error::GcError;
-use crate::journal::CompactionJournal;
+use crate::journal::{transact, Transactional};
 use crate::lisp2::trace_closure;
 use crate::packets::{chunk_ranges, PacketKind, PacketScheduler};
 use crate::resilience::{execute_swaps, RetryPolicy};
 use crate::watchdog::GcWatchdog;
-use svagc_heap::{GenHeap, HeapError, MarkBitmap, ObjRef, RootSet, CARD_BYTES};
+use svagc_heap::{GenHeap, Heap, HeapError, MarkBitmap, ObjRef, RootSet, CARD_BYTES};
 use svagc_kernel::{CoreId, FlushMode, Kernel, SwapBatch, SwapRequest, SwapVaOptions};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{VirtAddr, PAGE_SIZE};
@@ -98,7 +98,7 @@ impl MinorConfig {
 /// Statistics of one scavenge.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinorStats {
-    /// STW pause (cycles).
+    /// STW pause (cycles), including [`MinorStats::abort_overhead`].
     pub pause: Cycles,
     /// Young objects found live and promoted.
     pub promoted_objects: u64,
@@ -126,6 +126,8 @@ pub struct MinorStats {
     pub aborts: u64,
     /// Pages rewritten by the aborted attempts' rollbacks.
     pub rollback_pages: u64,
+    /// Cycles burned by aborted attempts and their rollbacks.
+    pub abort_overhead: Cycles,
     /// Degradation level the committed attempt ran at (0 = normal).
     pub mode: u8,
 }
@@ -173,95 +175,35 @@ impl MinorGc {
         }
     }
 
-    /// Run one scavenge as a **transaction**: on any error the attempt's
-    /// promotions and metadata writes are rolled back (eden and the
-    /// remembered set are only touched on success), operational errors
-    /// escalate the degraded-mode ladder and retry within this call, and
-    /// structural errors — notably [`HeapError::NeedGc`], which the caller
-    /// must answer with a full collection — propagate after rollback.
+    /// Run one scavenge as a **transaction** ([`crate::journal`]). Eden
+    /// and the remembered set are only touched on commit, so a rollback
+    /// restores the old generation alone; structural errors — notably
+    /// [`HeapError::NeedGc`], which the caller must answer with a full
+    /// collection — propagate after it.
     pub fn collect(
         &mut self,
         kernel: &mut Kernel,
         gh: &mut GenHeap,
         roots: &mut RootSet,
     ) -> Result<MinorStats, GcError> {
-        let core0 = CoreId(0);
         let user_cfg = self.cfg;
-        let mut aborts = 0u64;
-        let mut rollback_pages = 0u64;
-        loop {
-            let effective = self.degrade.apply_minor(&user_cfg);
-            let mut watchdog = GcWatchdog::new(effective.deadline_cycles);
-            let txn = CompactionJournal::begin(kernel, &mut gh.old, roots, false);
-            self.cfg = effective;
-            let attempt = self.try_collect(kernel, gh, roots, &mut watchdog);
-            self.cfg = user_cfg;
-            match attempt {
-                Ok(mut stats) => {
-                    txn.commit(kernel, &mut gh.old, roots);
-                    stats.aborts = aborts;
-                    stats.rollback_pages = rollback_pages;
-                    stats.mode = self.degrade.mode().level();
-                    if let Some(t) = self.degrade.on_clean() {
-                        kernel.trace.instant(
-                            TraceKind::ModeChange,
-                            Cycles::ZERO,
-                            0,
-                            &[("from", t.from.level() as u64), ("to", t.to.level() as u64)],
-                        );
-                    }
-                    // Success: only now is eden wiped (and with it the
-                    // remembered set — no young objects remain).
-                    gh.reset_eden();
-                    self.log.push(stats);
-                    return Ok(stats);
-                }
-                Err(e) => {
-                    // A seeded crash bypasses rollback entirely: the undo
-                    // journal and WAL epoch stay open for crash recovery.
-                    if let Some(point) = e.crash_point() {
-                        return Err(GcError::Crashed { point });
-                    }
-                    let rb = txn.abort(kernel, &mut gh.old, roots, core0)?;
-                    aborts += 1;
-                    rollback_pages += rb.pages;
-                    kernel.trace.instant(
-                        TraceKind::CycleAbort,
-                        Cycles::ZERO,
-                        0,
-                        &[
-                            ("attempt", aborts),
-                            ("mode", self.degrade.mode().level() as u64),
-                            ("rollback_pages", rb.pages),
-                        ],
-                    );
-                    let escalation = if e.is_operational() {
-                        self.degrade.on_abort()
-                    } else {
-                        None
-                    };
-                    match escalation {
-                        Some(t) => {
-                            kernel.trace.instant(
-                                TraceKind::ModeChange,
-                                Cycles::ZERO,
-                                0,
-                                &[("from", t.from.level() as u64), ("to", t.to.level() as u64)],
-                            );
-                        }
-                        None => {
-                            return Err(
-                                if e.is_operational() && self.degrade.policy().enabled {
-                                    GcError::Exhausted(Box::new(e))
-                                } else {
-                                    e
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        let (mut stats, out) = transact(self, kernel, gh, roots, false, |gc, kernel, gh, roots, stats| {
+            gc.cfg = gc.degrade.apply_minor(&user_cfg);
+            let mut watchdog = GcWatchdog::new(gc.cfg.deadline_cycles);
+            let attempt = gc.try_collect(kernel, gh, roots, &mut watchdog, stats);
+            gc.cfg = user_cfg;
+            attempt
+        })?;
+        stats.aborts = out.aborts;
+        stats.rollback_pages = out.rollback_pages;
+        stats.abort_overhead = out.abort_overhead;
+        stats.pause += out.abort_overhead;
+        stats.mode = out.mode;
+        // Success: only now is eden wiped (and with it the remembered set
+        // — no young objects remain).
+        gh.reset_eden();
+        self.log.push(stats);
+        Ok(stats)
     }
 
     /// One scavenge attempt (no transaction bracketing — `collect` owns
@@ -277,14 +219,16 @@ impl MinorGc {
     /// joins its workers between phases: under the barrier policy all
     /// phases share one greedy least-loaded bucket (HotSpot's parallel
     /// scavenge), and each phase's watchdog check sees the makespan so far.
+    /// `stats.pause` holds the last phase milestone reached, also when the
+    /// attempt fails (the abort charges it, as LISP2's phase times).
     fn try_collect(
         &mut self,
         kernel: &mut Kernel,
         gh: &mut GenHeap,
         roots: &mut RootSet,
         watchdog: &mut GcWatchdog,
-    ) -> Result<MinorStats, GcError> {
-        let mut stats = MinorStats::default();
+        stats: &mut MinorStats,
+    ) -> Result<(), GcError> {
         // Anchor of this scavenge on the cumulative GC trace timeline.
         let trace_start = kernel.trace.base();
         let cores = kernel.cores();
@@ -374,6 +318,7 @@ impl MinorGc {
             |va| gh.in_young(va),
         )?;
         let t_trace = sched.makespan();
+        stats.pause = t_trace;
         watchdog.check("minor-trace", t_trace)?;
 
         // ---- Phase 3: forwarding (promotion addresses) ----------------
@@ -439,6 +384,7 @@ impl MinorGc {
         }
         stats.promoted_objects = promos.len() as u64;
         let t_fwd = sched.makespan();
+        stats.pause = t_fwd;
         watchdog.check("minor-forward", t_fwd)?;
 
         // ---- Phase 4: adjust references -------------------------------
@@ -533,6 +479,7 @@ impl MinorGc {
             resolve(&mut conflicts, done, &mut batch_ready);
         }
         let t_adj = sched.makespan();
+        stats.pause = t_adj;
         watchdog.check("minor-adjust", t_adj)?;
 
         // ---- Phase 5: promote (copy or swap) ---------------------------
@@ -591,7 +538,7 @@ impl MinorGc {
                     stats.swapped_objects += 1;
                     if batch.push(SwapRequest { a: p.src.0, b: p.dst.0, pages }, p.size) {
                         t += Self::flush_promotions(
-                            kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
+                            kernel, gh, &mut batch, swap_opts, core, &self.cfg, stats,
                         )?;
                         // Mid-bucket deadline check between promotion batches.
                         watchdog.check("minor-promote", sched.elapsed(&tk, t))?;
@@ -606,7 +553,7 @@ impl MinorGc {
                 // swaps — which LocalOnly-flushed it — so no extra TLB pass
                 // is needed.
                 t += Self::flush_promotions(
-                    kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
+                    kernel, gh, &mut batch, swap_opts, core, &self.cfg, stats,
                 )?;
                 for p in &promos[s..e] {
                     t += kernel.write_word(gh.old.space(), core, p.dst.forwarding_va(), 0)?;
@@ -622,7 +569,7 @@ impl MinorGc {
                 let core = sched.core(&tk);
                 kernel.trace.set_base(trace_start + tk.start);
                 let c = Self::flush_promotions(
-                    kernel, gh, &mut batch, swap_opts, core, &self.cfg, &mut stats,
+                    kernel, gh, &mut batch, swap_opts, core, &self.cfg, stats,
                 )?;
                 sched.finish(&mut kernel.trace, tk, c, 0);
             }
@@ -673,7 +620,7 @@ impl MinorGc {
         kernel.perf.gc_cycles += 1;
         kernel.perf.objects_moved += stats.promoted_objects;
         kernel.perf.objects_swapped += stats.swapped_objects;
-        Ok(stats)
+        Ok(())
     }
 
     /// Flush a promotion batch through the resilient executor, rebooking
@@ -719,6 +666,25 @@ impl MinorGc {
     /// Total scavenge pause across the log.
     pub fn total_pause(&self) -> Cycles {
         self.log.iter().map(|s| s.pause).sum()
+    }
+}
+
+impl Transactional for MinorGc {
+    type Heap = GenHeap;
+    type Stats = MinorStats;
+
+    /// Eden is only touched on commit, so the transaction snapshots the
+    /// old generation alone.
+    fn txn_heap(gh: &mut GenHeap) -> &mut Heap {
+        &mut gh.old
+    }
+
+    fn degrade(&mut self) -> &mut DegradeController {
+        &mut self.degrade
+    }
+
+    fn attempt_cycles(stats: &MinorStats) -> Cycles {
+        stats.pause
     }
 }
 

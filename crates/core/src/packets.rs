@@ -87,9 +87,6 @@ pub enum PacketKind {
     /// A minor-collection work chunk (the scavenger's buckets are
     /// per-phase and coarser).
     MinorChunk,
-    /// Drain a SATB deletion-barrier buffer during the final-mark pause
-    /// of a concurrent cycle (`--concurrent`).
-    SatbDrain,
     /// Demote a batch of cold pages to the far-memory tier (writeback +
     /// verify + residency record per page), piggybacked on the end of a
     /// GC cycle.
@@ -107,7 +104,6 @@ impl PacketKind {
             PacketKind::AdjustRoots => "adjust-roots",
             PacketKind::CompactBatch => "compact-batch",
             PacketKind::MinorChunk => "minor-chunk",
-            PacketKind::SatbDrain => "satb-drain",
             PacketKind::DemoteBatch => "demote-batch",
         }
     }
@@ -122,7 +118,8 @@ impl PacketKind {
             PacketKind::AdjustRoots => 4,
             PacketKind::CompactBatch => 5,
             PacketKind::MinorChunk => 6,
-            PacketKind::SatbDrain => 7,
+            // 7 belonged to a retired kind; ids stay stable so trace
+            // output does not move.
             PacketKind::DemoteBatch => 8,
         }
     }

@@ -4,7 +4,7 @@
 //! surviving state is what the machine model calls durable: physical
 //! memory, page tables, and the write-ahead log
 //! ([`svagc_kernel::WriteAheadLog`]). Everything the collector knew —
-//! the heap object index, the root set, the in-memory undo journal — is
+//! the heap object index, the root set, the in-memory undo log — is
 //! gone. [`recover`] is the restart path: scan the log, classify the
 //! cycles it records, undo whatever a torn cycle half-applied, and hand
 //! back a heap whose content is **bit-identical** to either the
@@ -26,6 +26,8 @@
 //! commit or abort record went missing, and recovery refuses the log
 //! outright rather than guess ([`RecoveryError::BadLog`]).
 //!
+//! A torn cycle's intents decode into the [`svagc_kernel::UndoLog`] an
+//! aborting cycle rolls back, undone by the same [`Kernel::undo_all`].
 //! Recovery is itself crash-safe: undo records are idempotent absolute
 //! pre-images, so a crash *inside recovery* (the double-crash case,
 //! [`svagc_kernel::CrashPoint::InsideRecovery`]) leaves a log the next
@@ -33,7 +35,9 @@
 
 use crate::error::GcError;
 use svagc_heap::{Heap, HeapConfig, HeapStats, HeapVerifier, ObjRef, RootSet};
-use svagc_kernel::{CoreId, CrashPoint, Kernel, TierError, WalOp, WalPayload, TIER_EPOCH};
+use svagc_kernel::{
+    CoreId, CrashPoint, Kernel, RollbackError, TierError, UndoLog, WalPayload, TIER_EPOCH,
+};
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, VirtAddr};
 
@@ -330,7 +334,7 @@ pub struct RecoveryFailure {
 struct EpochState {
     epoch: u64,
     begin: Option<CycleMeta>,
-    intents: Vec<WalOp>,
+    intents: UndoLog,
     commit: Option<CycleMeta>,
     aborted: bool,
     recovered: bool,
@@ -386,7 +390,7 @@ fn fold_epochs(records: &[svagc_kernel::WalRecord]) -> Result<Vec<EpochState>, R
                     ))
                 })?;
                 match other {
-                    WalPayload::Intent(op) => cur.intents.push(op.clone()),
+                    WalPayload::Intent(body) if cur.intents.push_intent(body) => {}
                     WalPayload::Commit { meta } => {
                         cur.commit = Some(CycleMeta::decode(meta).ok_or_else(|| {
                             RecoveryError::BadLog(format!(
@@ -402,7 +406,7 @@ fn fold_epochs(records: &[svagc_kernel::WalRecord]) -> Result<Vec<EpochState>, R
                     // about what to restore. Undoing it would write
                     // garbage, skipping it would leave a half-applied
                     // cycle — refuse the log outright.
-                    WalPayload::BadIntent => {
+                    WalPayload::Intent(_) | WalPayload::BadIntent => {
                         return Err(RecoveryError::BadLog(format!(
                             "epoch {}: intent pre-image checksum failed",
                             rec.epoch
@@ -493,33 +497,25 @@ pub fn recover(
     };
 
     if class == CycleClass::Torn {
-        // Undo the intents in reverse. Pre-images are absolute, so this
-        // pass is idempotent: it is safe when the final logged intent was
-        // never applied, safe after a partial in-process rollback, and
-        // safe to re-run wholesale after a crash inside recovery.
-        for op in last.intents.iter().rev() {
-            if kernel.crash_fire(CrashPoint::InsideRecovery) {
-                return fail(
-                    space,
-                    RecoveryError::Crashed {
-                        point: CrashPoint::InsideRecovery,
-                    },
-                );
+        // Undo the intents newest-first, exactly as an in-process
+        // rollback would. Pre-images are absolute, so this pass is safe
+        // when the final logged intent was never applied, safe after a
+        // partial in-process rollback, and safe to re-run wholesale after
+        // a crash inside recovery.
+        let (c, pages) = match kernel.undo_all(&mut space, &last.intents, CrashPoint::InsideRecovery) {
+            Ok(done) => done,
+            Err(RollbackError::Crashed) => {
+                let point = CrashPoint::InsideRecovery;
+                return fail(space, RecoveryError::Crashed { point });
             }
-            match kernel.wal_undo_op(&mut space, op) {
-                Ok((c, pages)) => {
-                    cycles += c;
-                    undone_pages += pages;
-                    undone_ops += 1;
-                }
-                Err(e) => {
-                    return fail(
-                        space,
-                        RecoveryError::BadLog(format!("undo of a logged intent failed: {e}")),
-                    )
-                }
+            Err(e) => {
+                let why = format!("undo of a logged intent failed: {e}");
+                return fail(space, RecoveryError::BadLog(why));
             }
-        }
+        };
+        cycles += c;
+        undone_pages = pages;
+        undone_ops = last.intents.len();
     }
     let meta = match class {
         CycleClass::Committed => last.commit.as_ref(),
@@ -657,6 +653,15 @@ mod tests {
 
     #[test]
     fn classification_covers_every_log_shape() {
+        use svagc_metrics::MachineConfig;
+        use svagc_vmem::Asid;
+        // A one-record log, recorded the way a cycle records it.
+        let mut k = Kernel::new(MachineConfig::i5_7600(), 16);
+        let mut s = AddressSpace::new(Asid(1));
+        let va = k.vmem.alloc_region(&mut s, 1).unwrap();
+        k.journal_begin();
+        k.write_word(&s, CoreId(0), va, 1).unwrap();
+        let one_word = k.journal_take().unwrap();
         let begin = EpochState {
             epoch: 1,
             begin: Some(CycleMeta::decode(&CycleMeta {
@@ -677,19 +682,13 @@ mod tests {
         };
         assert_eq!(begin.classify(), CycleClass::Uncommitted);
         let torn = EpochState {
-            intents: vec![WalOp::Word {
-                at: VirtAddr(8),
-                pre: 0,
-            }],
+            intents: one_word.clone(),
             ..EpochState::default()
         };
         assert_eq!(torn.classify(), CycleClass::Torn);
         let aborted = EpochState {
             aborted: true,
-            intents: vec![WalOp::Word {
-                at: VirtAddr(8),
-                pre: 0,
-            }],
+            intents: one_word,
             ..EpochState::default()
         };
         assert_eq!(aborted.classify(), CycleClass::Aborted, "abort outranks intents");

@@ -9,7 +9,7 @@
 //! replayed rollback is rejected before it can corrupt anything.
 
 use svagc_core::{DegradeController, DegradePolicy, DegradedMode};
-use svagc_kernel::{CoreId, Kernel, RollbackError, SwapRequest, SwapVaOptions, WalOp};
+use svagc_kernel::{CoreId, Kernel, RollbackError, SwapRequest, SwapVaOptions, UndoLog, WalPayload};
 use svagc_metrics::{MachineConfig, SimRng};
 use svagc_vmem::{AddressSpace, Asid, VirtAddr, PAGE_SIZE};
 
@@ -295,9 +295,10 @@ fn random_op_soups_roll_back_exactly_and_replays_are_rejected() {
         let restored = snapshot(&k, &s, arena, pages * PAGE_SIZE);
         assert_eq!(restored, before, "seed {seed}: rollback must be exact");
 
-        // Property: the journal's undo ops are NOT idempotent (a second
-        // swap re-swaps), so the kernel must fence the replay *before*
-        // mutating — afterwards the heap is byte-identical.
+        // Property: a second rollback of the same log would clobber
+        // anything written since the first with stale pre-images, so the
+        // kernel must fence the replay *before* mutating — afterwards the
+        // heap is byte-identical.
         assert_eq!(
             k.rollback(&mut s, replay, CoreId(0)),
             Err(RollbackError::Replayed { id }),
@@ -307,15 +308,22 @@ fn random_op_soups_roll_back_exactly_and_replays_are_rejected() {
     }
 }
 
-/// Harvest the open epoch's intents from the durable log.
-fn harvest_intents(k: &Kernel) -> Vec<WalOp> {
-    k.wal_scan()
-        .records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            svagc_kernel::WalPayload::Intent(op) => Some(op.clone()),
-            _ => None,
-        })
+/// Harvest the open epoch's intents from the durable log, decoded into
+/// one undo log the way recovery decodes them.
+fn harvest_intents(k: &Kernel) -> UndoLog {
+    let mut log = UndoLog::default();
+    for r in k.wal_scan().records {
+        if let WalPayload::Intent(body) = &r.payload {
+            assert!(log.push_intent(body));
+        }
+    }
+    log
+}
+
+/// Raw PTEs of `pages` pages at `base`.
+fn raw_ptes(s: &AddressSpace, base: VirtAddr, pages: u64) -> Vec<u64> {
+    (0..pages)
+        .map(|i| s.page_table().read_pte_raw(base.add_pages(i)).unwrap())
         .collect()
 }
 
@@ -326,29 +334,54 @@ fn wal_undo_survives_stuttered_application_on_arbitrary_soups() {
     // so the stuttered pass (every undo applied twice back-to-back,
     // under an unchanged mapping) must land on the exact pre-cycle
     // bytes — including for PTE swaps, whose raw-PTE installs are
-    // no-ops the second time.
+    // no-ops the second time. And because an in-process rollback undoes
+    // the same records through the same routine, rolling the same soup
+    // back in process must leave identical bytes and page tables.
     for seed in 0..8u64 {
-        let mut rng = SimRng::seed_from_u64(0x1DE0 + seed * 131);
-        let (mut k, mut s) = setup(256);
         let pages = 16u64;
-        let arena = k.vmem.alloc_region(&mut s, pages).unwrap();
-        for i in 0..pages * PAGE_SIZE / 8 {
-            k.vmem.write_u64(&s, arena + i * 8, rng.next_u64()).unwrap();
-        }
-        let before = snapshot(&k, &s, arena, pages * PAGE_SIZE);
+        let soup = |journaled: bool| {
+            let mut rng = SimRng::seed_from_u64(0x1DE0 + seed * 131);
+            let (mut k, mut s) = setup(256);
+            let arena = k.vmem.alloc_region(&mut s, pages).unwrap();
+            for i in 0..pages * PAGE_SIZE / 8 {
+                k.vmem.write_u64(&s, arena + i * 8, rng.next_u64()).unwrap();
+            }
+            let before = snapshot(&k, &s, arena, pages * PAGE_SIZE);
+            k.set_wal_enabled(true);
+            k.wal_cycle_begin(vec![]);
+            if journaled {
+                k.journal_begin();
+            }
+            random_ops(&mut k, &mut s, &mut rng, arena, pages);
+            (k, s, arena, before)
+        };
 
-        k.set_wal_enabled(true);
-        k.wal_cycle_begin(vec![]);
-        random_ops(&mut k, &mut s, &mut rng, arena, pages);
-        // Crash before commit: the epoch stays open; harvest its intents.
+        // Crash before commit: the epoch stays open; after the reboot,
+        // harvest its intents and undo them stuttered.
+        let (mut k, mut s, arena, before) = soup(false);
+        k.reboot();
         let intents = harvest_intents(&k);
         assert!(!intents.is_empty(), "seed {seed}: op soup logged no intents");
-
-        for op in intents.iter().rev() {
-            k.wal_undo_op(&mut s, op).unwrap();
-            k.wal_undo_op(&mut s, op).unwrap();
+        for op in intents.records().iter().rev() {
+            k.undo_op(&mut s, &intents, op).unwrap();
+            k.undo_op(&mut s, &intents, op).unwrap();
         }
         assert_eq!(snapshot(&k, &s, arena, pages * PAGE_SIZE), before, "seed {seed}");
+
+        // The same soup, aborted and rolled back in process.
+        let (mut k2, mut s2, arena2, _) = soup(true);
+        let log = k2.journal_take().unwrap();
+        k2.rollback(&mut s2, log, CoreId(0)).unwrap();
+        assert_eq!(
+            snapshot(&k2, &s2, arena2, pages * PAGE_SIZE),
+            snapshot(&k, &s, arena, pages * PAGE_SIZE),
+            "seed {seed}: rollback and recovery restore the same bytes"
+        );
+        assert_eq!(
+            raw_ptes(&s2, arena2, pages),
+            raw_ptes(&s, arena, pages),
+            "seed {seed}: rollback and recovery restore the same page tables"
+        );
     }
 }
 
@@ -390,12 +423,12 @@ fn wal_undo_reruns_wholesale_on_translation_stable_soups() {
         // Two crashed partial passes of random depth, then a full pass.
         for _ in 0..2 {
             let depth = rng.gen_range(0..intents.len() as u64 + 1) as usize;
-            for op in intents.iter().rev().take(depth) {
-                k.wal_undo_op(&mut s, op).unwrap();
+            for op in intents.records().iter().rev().take(depth) {
+                k.undo_op(&mut s, &intents, op).unwrap();
             }
         }
-        for op in intents.iter().rev() {
-            k.wal_undo_op(&mut s, op).unwrap();
+        for op in intents.records().iter().rev() {
+            k.undo_op(&mut s, &intents, op).unwrap();
         }
         assert_eq!(snapshot(&k, &s, arena, pages * PAGE_SIZE), before, "seed {seed}");
     }

@@ -224,24 +224,28 @@ fn generous_deadline_is_invisible() {
     );
 }
 
+/// Ten large young objects, every other one rooted: promotion swaps
+/// them when SwapVA is on.
+fn build_young_world(k: &mut Kernel) -> (GenHeap, RootSet) {
+    let mut gh = GenHeap::new(k, Asid(1), 64 << 20, 8 << 20, 10).unwrap();
+    let mut roots = RootSet::new();
+    for i in 0..10u64 {
+        let shape = ObjShape::data_bytes(12 * PAGE_SIZE);
+        let (obj, _) = gh.alloc_young(k, CORE, shape).unwrap();
+        gh.old.write_data(k, CORE, obj, 0, 0, 0x500 + i).unwrap();
+        if i % 2 == 0 {
+            roots.push(obj);
+        }
+    }
+    (gh, roots)
+}
+
 /// Minor-GC transactions: an unrecoverable promotion fault rolls back the
 /// old generation AND leaves eden intact, then the degraded retry promotes
 /// everything by copy — ending bit-identical to a fault-free scavenge.
 #[test]
 fn minor_scavenge_aborts_and_retries_degraded() {
-    let build = |k: &mut Kernel| -> (GenHeap, RootSet) {
-        let mut gh = GenHeap::new(k, Asid(1), 64 << 20, 8 << 20, 10).unwrap();
-        let mut roots = RootSet::new();
-        for i in 0..10u64 {
-            let shape = ObjShape::data_bytes(12 * PAGE_SIZE);
-            let (obj, _) = gh.alloc_young(k, CORE, shape).unwrap();
-            gh.old.write_data(k, CORE, obj, 0, 0, 0x500 + i).unwrap();
-            if i % 2 == 0 {
-                roots.push(obj);
-            }
-        }
-        (gh, roots)
-    };
+    let build = build_young_world;
 
     // Reference scavenge, fault-free.
     let mut rk = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
@@ -305,4 +309,48 @@ fn minor_need_gc_propagates_through_the_transaction() {
         DegradedMode::Normal,
         "structural errors do not trip the breaker"
     );
+}
+
+/// The scavenger's counterpart of the LISP2 `abort_overhead` check: an
+/// aborted attempt and its rollback burn pause time, so a scavenge forced
+/// to abort once must pause longer than the same scavenge run clean — by
+/// exactly the abort overhead on top of a clean scavenge in the mode the
+/// retry committed in.
+#[test]
+fn minor_abort_costs_pause_time() {
+    // `flushed` starts from the TLB state a rollback leaves behind (its
+    // trailing shootdown), so only the abort overhead separates the runs.
+    let clean_in = |cfg: MinorConfig, flushed: bool| {
+        let mut rk = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
+        let (mut rgh, mut rroots) = build_young_world(&mut rk);
+        if flushed {
+            rk.flush_asid_all_cores(CORE, Asid(1));
+        }
+        let clean = MinorGc::new(cfg).collect(&mut rk, &mut rgh, &mut rroots).unwrap();
+        assert_eq!(clean.aborts, 0);
+        clean
+    };
+    let clean = clean_in(MinorConfig::svagc(4), false);
+    // The degrade ladder's first rung: promotion by copy only.
+    let clean_degraded = clean_in(MinorConfig::memmove(4), true);
+
+    let mut k = Kernel::with_bytes(MachineConfig::i5_7600(), 96 << 20);
+    let (mut gh, mut roots) = build_young_world(&mut k);
+    k.set_fault_plan(Some(FaultPlan::new(permanent_only(1.0, 21))));
+    let mut minor = MinorGc::new(MinorConfig {
+        retry: strict_retry(),
+        degrade: DegradePolicy::standard(),
+        ..MinorConfig::svagc(4)
+    });
+    let stats = minor.collect(&mut k, &mut gh, &mut roots).unwrap();
+    assert!(stats.aborts >= 1);
+    assert!(
+        stats.pause > clean.pause,
+        "the aborted attempt is part of the pause: {} vs clean {}",
+        stats.pause,
+        clean.pause
+    );
+    assert!(stats.abort_overhead.get() > 0, "aborts cost pause time");
+    assert_eq!(stats.mode, 1, "committed MemmoveOnly");
+    assert_eq!(stats.pause, clean_degraded.pause + stats.abort_overhead);
 }

@@ -119,19 +119,19 @@ impl std::error::Error for SwapVaError {
     }
 }
 
-/// Failure of an undo-journal [`crate::Kernel::rollback`].
+/// Failure of an undo pass ([`crate::Kernel::rollback`], or recovery's
+/// [`crate::Kernel::undo_all`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollbackError {
     /// Structural error from the memory model while restoring.
     Vm(VmError),
-    /// A seeded [`CrashPoint::MidRollback`] fired mid-restore: the machine
-    /// died again while undoing. The journal's epoch stays unresolved in
-    /// the write-ahead log; recovery finishes the undo after restart.
+    /// A seeded [`CrashPoint::MidRollback`] (or, in recovery,
+    /// [`CrashPoint::InsideRecovery`]) fired mid-restore. The epoch stays
+    /// unresolved in the write-ahead log; recovery finishes the undo.
     Crashed,
-    /// This journal was already replayed once. Rollback is intentionally
-    /// not idempotent at the API level — the undo ops themselves would
-    /// re-corrupt restored state (a second `PteSwap` replay re-swaps) — so
-    /// the kernel retires journal ids and rejects replays outright.
+    /// This log was already rolled back once; a second pass would clobber
+    /// everything written since with stale pre-images, so the kernel
+    /// retires log ids and rejects replays outright.
     Replayed {
         /// The retired journal's id.
         id: u64,

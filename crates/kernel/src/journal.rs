@@ -1,280 +1,301 @@
-//! Undo journal for transactional GC cycles.
+//! The undo log of a GC cycle: one record per mutation, holding the
+//! absolute pre-image of what it overwrote.
 //!
-//! Every mutation the kernel applies on behalf of a GC cycle — PTE swaps,
-//! memmove byte copies, and single metadata-word writes — can be recorded
-//! into an [`OpJournal`] with enough information to invert it. Replaying
-//! the journal *backward* ([`Kernel::rollback`]) restores the virtual
-//! content view of the address space bit-for-bit, because each undo step
-//! exactly inverts its forward operation:
+//! Every mutation the kernel applies makes one call, `Kernel::record_undo`,
+//! *before* it mutates. The call reads the pre-image once and appends an
+//! [`UndoRecord`] to the active [`UndoLog`]: the raw PTEs of a disjoint
+//! swap (word arena), the bytes of an overlap rotation's window or a
+//! memmove destination (byte arena), or a metadata word's old value. With
+//! a WAL cycle open, the same call writes the record ahead as the cycle's
+//! durable intent ([`crate::wal`]).
 //!
-//! * **Disjoint PTE swap** — involutive: re-swapping the same page pairs
-//!   restores the original mapping (and therefore the original contents as
-//!   seen through virtual addresses).
-//! * **Overlap rotation** (Algorithm 2) — *not* involutive (the window is
-//!   rotated, not exchanged pairwise), so the forward path snapshots the
-//!   byte contents of the whole window union and the undo restores them.
-//! * **memmove** — destructive on the destination; the forward path
-//!   snapshots the destination bytes and the undo restores them.
-//! * **Metadata word write** (forwarding pointers, adjusted reference
-//!   fields) — the forward path records the old word value.
-//!
-//! Because operations are journaled in application order and undone in
-//! reverse, interleaved mapping changes compose correctly: a byte restore
-//! always runs after every later mapping change has been undone, so it
-//! writes through the same translation the forward operation used.
-//!
-//! Rollback uses the *functional* vmem primitives directly — it bypasses
-//! the fault-injection plan (a rollback must not itself fault) and does
-//! not re-journal (undo is not a recordable mutation). Cycle costs are
-//! still charged: PTE writes at `pte_swap`, byte restores through the
-//! bandwidth model, word restores at `mem_access`.
+//! Undo ([`Kernel::undo_op`]) installs pre-images, which is idempotent, so
+//! one routine serves both [`Kernel::rollback`] of an aborting cycle and
+//! crash recovery, which decodes the WAL's intents back into an
+//! [`UndoLog`]. Records are undone newest-first, so a byte restore writes
+//! through the translation its mutation used. Undo bypasses fault
+//! injection but is charged: `pte_swap` per page pair, bandwidth per byte
+//! range, `mem_access` per word.
 
 use crate::error::RollbackError;
 use crate::fault::CrashPoint;
 use crate::state::{CoreId, Kernel};
 use crate::swapva::SwapRequest;
+use core::ops::Range;
 use svagc_metrics::{Cycles, TraceKind};
-use svagc_vmem::{AddressSpace, VirtAddr, PAGE_SIZE};
+use svagc_vmem::{AddressSpace, PhysAddr, VirtAddr, VmError, Vmem, PAGE_SIZE};
 
-/// One invertible operation applied by the kernel while a journal was
-/// active, with the data needed to undo it.
-#[derive(Debug, Clone)]
-pub enum UndoOp {
-    /// A disjoint PTE swap: undone by re-applying the same swap
-    /// (pairwise PTE exchange is an involution).
-    PteSwap {
-        /// The request as applied.
-        req: SwapRequest,
+/// One mutation's absolute pre-image; arena ranges index the owning
+/// [`UndoLog`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UndoRecord {
+    /// A disjoint PTE swap: the raw PTEs at `(a + i, b + i)` before it,
+    /// interleaved in the word arena.
+    Ptes {
+        /// First range base.
+        a: VirtAddr,
+        /// Second range base.
+        b: VirtAddr,
+        /// Slice of the word arena.
+        saved: Range<usize>,
     },
-    /// A byte-range overwrite (memmove destination, or the window union
-    /// of a non-involutive overlap rotation): undone by restoring the
-    /// saved bytes. The pre-image itself lives in the owning journal's
-    /// shared byte arena ([`OpJournal::bytes`]) — one growable buffer per
-    /// cycle instead of one heap allocation per journaled move, which is
-    /// the difference between the journal being free and it dominating
-    /// host time on copy-heavy workloads.
+    /// A byte-range overwrite (memmove destination, overlap-rotation
+    /// window): the range's prior bytes.
     Bytes {
-        /// Start of the overwritten virtual range.
+        /// Start of the range.
         at: VirtAddr,
-        /// The pre-image's slice of the journal's byte arena.
-        saved: core::ops::Range<usize>,
+        /// Slice of the byte arena.
+        saved: Range<usize>,
     },
-    /// A single word write (forwarding pointer, adjusted reference field):
-    /// undone by restoring the old value.
+    /// A metadata-word write: the word's prior value.
     Word {
-        /// The written word's virtual address.
+        /// The word's address.
         at: VirtAddr,
-        /// The word's value immediately before the write.
+        /// Its value before the write.
         old: u64,
     },
 }
 
-impl UndoOp {
-    /// Pages this op's undo rewrites (words count as zero — they are
-    /// sub-page metadata restores).
-    fn pages(&self) -> u64 {
+impl UndoRecord {
+    /// Pages this record's undo rewrites (a word counts as zero).
+    pub fn pages(&self) -> u64 {
         match self {
-            UndoOp::PteSwap { req } => 2 * req.pages,
-            UndoOp::Bytes { saved, .. } => (saved.len() as u64).div_ceil(PAGE_SIZE),
-            UndoOp::Word { .. } => 0,
+            UndoRecord::Ptes { saved, .. } => saved.len() as u64,
+            UndoRecord::Bytes { saved, .. } => (saved.len() as u64).div_ceil(PAGE_SIZE),
+            UndoRecord::Word { .. } => 0,
         }
     }
 }
 
-/// An append-only log of invertible kernel operations, in application
-/// order. Undone back-to-front by [`Kernel::rollback`].
-#[derive(Debug, Clone, Default)]
-pub struct OpJournal {
-    ops: Vec<UndoOp>,
-    /// Shared arena holding every [`UndoOp::Bytes`] pre-image, indexed by
-    /// the ops' `saved` ranges. Appended by [`Kernel::journal_stash_bytes`].
-    bytes: Vec<u8>,
-    /// Kernel-assigned identity (0 for hand-built journals). Rollback
-    /// retires the id so a journal can only ever replay once — a second
-    /// replay would re-corrupt restored state (PTE re-swap is an
-    /// involution, byte/word restores may clobber newer writes).
-    id: u64,
+/// What a mutation is about to overwrite (see `Kernel::record_undo`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Overwrite {
+    Ptes(SwapRequest),
+    Bytes { at: VirtAddr, len: u64 },
+    Word { at: VirtAddr, pa: PhysAddr },
 }
 
-impl OpJournal {
-    /// An empty journal.
-    pub fn new() -> OpJournal {
-        OpJournal::default()
-    }
+/// Pre-image records in application order, with their arenas (one buffer
+/// each per cycle, recycled by the kernel, not one allocation per record).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UndoLog {
+    pub(crate) records: Vec<UndoRecord>,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) words: Vec<u64>,
+    /// Kernel-assigned identity (0 = unidentified, no replay guard).
+    pub(crate) id: u64,
+}
 
-    /// The kernel-assigned journal identity (0 = unidentified; such
-    /// journals bypass replay protection).
+impl UndoLog {
+    /// The kernel-assigned identity (0 for logs not opened by
+    /// [`Kernel::journal_begin`]).
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Number of recorded operations.
+    /// Number of records.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.records.len()
     }
 
-    /// True when nothing has been recorded (rollback is a no-op).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.records.is_empty()
     }
 
-    /// Append an operation.
-    pub(crate) fn record(&mut self, op: UndoOp) {
-        self.ops.push(op);
+    /// The records, oldest first.
+    pub fn records(&self) -> &[UndoRecord] {
+        &self.records
     }
 
-    /// Total pages a rollback of this journal would rewrite.
-    pub fn pages(&self) -> u64 {
-        self.ops.iter().map(UndoOp::pages).sum()
+    /// Heap bytes held by the arenas and the record list.
+    fn footprint(&self) -> usize {
+        self.bytes.capacity()
+            + self.words.capacity() * core::mem::size_of::<u64>()
+            + self.records.capacity() * core::mem::size_of::<UndoRecord>()
+    }
+
+    fn clear(&mut self) {
+        self.records.clear();
+        self.bytes.clear();
+        self.words.clear();
+    }
+
+    /// Read `what`'s pre-image and append its record; on a read error
+    /// (an unmapped page) nothing is appended.
+    fn capture(&mut self, vmem: &Vmem, space: &AddressSpace, what: Overwrite) -> Result<(), VmError> {
+        let (b0, w0) = (self.bytes.len(), self.words.len());
+        let rec = match what {
+            Overwrite::Ptes(req) => (0..req.pages)
+                .flat_map(|i| [req.a.add_pages(i), req.b.add_pages(i)])
+                .try_for_each(|va| {
+                    self.words.push(space.page_table().read_pte_raw(va)?);
+                    Ok(())
+                })
+                .map(|()| UndoRecord::Ptes { a: req.a, b: req.b, saved: w0..self.words.len() }),
+            Overwrite::Bytes { at, len } => vmem
+                .read_bytes_into(space, at, len, &mut self.bytes)
+                .map(|()| UndoRecord::Bytes { at, saved: b0..self.bytes.len() }),
+            Overwrite::Word { at, pa } => vmem.phys.read_u64(pa).map(|old| UndoRecord::Word { at, old }),
+        };
+        rec.map(|rec| self.records.push(rec)).inspect_err(|_| {
+            self.bytes.truncate(b0);
+            self.words.truncate(w0);
+        })
     }
 }
 
 impl Kernel {
-    /// Start journaling: every subsequent PTE swap, memmove, and
-    /// `write_word` records an undo entry until [`Kernel::journal_take`].
-    /// Any previously active journal is discarded.
+    /// Start journaling: every later mutation appends an undo record until
+    /// [`Kernel::journal_take`]. Any previously active log is discarded.
     pub fn journal_begin(&mut self) {
         self.next_journal_id += 1;
-        if let Some(old) = self.journal.take() {
-            self.journal_stash_spare(old.bytes);
-        }
-        // Reuse the arena of the last retired journal: cycle after cycle
-        // the pre-image buffer stays warm instead of being re-grown (and
-        // its pages re-faulted) from nothing.
-        let mut bytes = std::mem::take(&mut self.journal_spare);
-        bytes.clear();
-        self.journal = Some(OpJournal {
-            ops: Vec::new(),
-            bytes,
-            id: self.next_journal_id,
-        });
+        self.journal_retire();
+        // Reuse the last retired log's arenas: cycle after cycle the
+        // pre-image buffers stay warm instead of being re-grown.
+        let mut log = std::mem::take(&mut self.journal_spare);
+        log.id = self.next_journal_id;
+        self.journal = Some(log);
     }
 
-    /// Stop journaling and return the recorded journal (None if journaling
-    /// was never started). Call this both to commit (drop the result) and
-    /// to abort (pass the result to [`Kernel::rollback`]).
-    pub fn journal_take(&mut self) -> Option<OpJournal> {
+    /// Stop journaling and return the log (None if none was begun) for
+    /// [`Kernel::rollback`]; [`Kernel::journal_retire`] commits instead.
+    pub fn journal_take(&mut self) -> Option<UndoLog> {
         self.journal.take()
     }
 
-    /// Commit fast path: stop journaling and discard the record, keeping
-    /// the byte arena for the next cycle. Equivalent to dropping the
-    /// result of [`Kernel::journal_take`], minus the reallocation.
+    /// Commit: stop journaling, keeping the log's arenas for the next cycle.
     pub fn journal_retire(&mut self) {
         if let Some(j) = self.journal.take() {
-            self.journal_stash_spare(j.bytes);
+            self.journal_stash_spare(j);
         }
     }
 
-    /// Keep `bytes` as the next journal's arena if it beats the current
-    /// spare. Capped so a one-off giant cycle cannot pin its peak arena
-    /// in memory forever.
-    fn journal_stash_spare(&mut self, mut bytes: Vec<u8>) {
-        const SPARE_CAP: usize = 8 << 20;
-        bytes.clear();
-        if bytes.capacity() <= SPARE_CAP && bytes.capacity() > self.journal_spare.capacity() {
-            self.journal_spare = bytes;
+    /// Keep `log`'s arenas as the next cycle's if they beat the spare's,
+    /// up to a cap so one giant cycle cannot pin its peak forever.
+    fn journal_stash_spare(&mut self, mut log: UndoLog) {
+        const SPARE_CAP: usize = 16 << 20;
+        log.clear();
+        let footprint = log.footprint();
+        if footprint <= SPARE_CAP && footprint > self.journal_spare.footprint() {
+            self.journal_spare = log;
         }
     }
 
-    /// Is a journal currently recording?
-    pub fn journal_active(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Record `op` into the active journal, if any.
-    pub(crate) fn journal_record(&mut self, op: UndoOp) {
-        if let Some(j) = self.journal.as_mut() {
-            j.record(op);
-        }
-    }
-
-    /// Read `len` bytes at `at` into the active journal's byte arena and
-    /// return their arena range for a later [`UndoOp::Bytes`] record
-    /// (None when no journal is recording). Split from the record itself
-    /// because callers snapshot *before* the destructive operation but
-    /// journal it *after* (application order); on a read error the arena
-    /// may keep a dangling prefix, which is harmless — no op points at it.
-    pub(crate) fn journal_stash_bytes(
+    /// The one undo call of every mutation site, made before it mutates:
+    /// record what `what` is about to overwrite and, with a WAL cycle
+    /// open, write it ahead as the intent (returning the log-write
+    /// cycles). With `may_crash` a pending [`CrashPoint::MidLogAppend`]
+    /// tears that write; the machine is then [`Kernel::crashed`] and the
+    /// caller must not mutate. A PTE capture doubles as the swap's range
+    /// validation, so it runs even when nothing records.
+    pub(crate) fn record_undo(
         &mut self,
         space: &AddressSpace,
-        at: VirtAddr,
-        len: u64,
-    ) -> Result<Option<core::ops::Range<usize>>, svagc_vmem::VmError> {
-        match self.journal.as_mut() {
-            Some(j) => {
-                let start = j.bytes.len();
-                self.vmem.read_bytes_into(space, at, len, &mut j.bytes)?;
-                Ok(Some(start..start + len as usize))
-            }
-            None => Ok(None),
+        what: Overwrite,
+        may_crash: bool,
+    ) -> Result<Cycles, VmError> {
+        let wal = self.wal.cycle_open();
+        if self.journal.is_none() && !wal && !matches!(what, Overwrite::Ptes(_)) {
+            return Ok(Cycles::ZERO);
         }
+        // Without a journal the record lands in the spare log and is
+        // dropped once written ahead.
+        let journaled = self.journal.is_some();
+        let mut log = self.journal.take().unwrap_or_else(|| std::mem::take(&mut self.journal_spare));
+        let mut out = log.capture(&self.vmem, space, what).map(|()| Cycles::ZERO);
+        if wal && out.is_ok() {
+            let rec = log.records.last().expect("capture appended a record");
+            out = Ok(self.wal_intent(&log, rec, may_crash));
+        }
+        if journaled {
+            self.journal = Some(log);
+        } else {
+            self.journal_stash_spare(log);
+        }
+        out
     }
 
-    /// Replay `journal` backward, restoring the virtual content view of
-    /// `space` to its state when the journal was begun. Returns the cycles
-    /// charged to `core` and the number of pages rewritten.
-    ///
-    /// Uses functional vmem operations: no fault injection, no TLB
-    /// consults, no re-journaling. The caller is responsible for the
-    /// trailing TLB shootdown (stale translations survive on every core
-    /// until flushed).
-    ///
-    /// A kernel-identified journal (id ≠ 0) can replay at most once:
-    /// replays are rejected with [`RollbackError::Replayed`] *before* any
-    /// op is undone, because the undo ops are not idempotent against an
-    /// already-restored heap. A seeded [`CrashPoint::MidRollback`] fires
-    /// between ops and aborts the restore with [`RollbackError::Crashed`].
+    /// Undo one record of `log` by installing its pre-image — the routine
+    /// both undo paths share. Far pages under a byte or word restore are
+    /// promoted first, or the next fetch-on-access would clobber them.
+    pub fn undo_op(
+        &mut self,
+        space: &mut AddressSpace,
+        log: &UndoLog,
+        rec: &UndoRecord,
+    ) -> Result<Cycles, VmError> {
+        let costs = self.machine.costs;
+        let mut t = Cycles::ZERO;
+        match rec {
+            UndoRecord::Ptes { a, b, saved } => {
+                for (i, pair) in log.words[saved.clone()].chunks_exact(2).enumerate() {
+                    let i = i as u64;
+                    space.page_table_mut().write_pte_raw(a.add_pages(i), pair[0])?;
+                    space.page_table_mut().write_pte_raw(b.add_pages(i), pair[1])?;
+                    self.perf.pte_swaps += 1;
+                    t += Cycles(costs.pte_swap);
+                }
+            }
+            UndoRecord::Bytes { at, saved } => {
+                let len = saved.len() as u64;
+                t += self.tier_resolve_write_range(space, *at, len)?;
+                self.vmem.write_bytes(space, *at, &log.bytes[saved.clone()])?;
+                t += self.bandwidth.copy_cycles(&self.machine, len);
+            }
+            UndoRecord::Word { at, old } => {
+                t += self.tier_resolve_write_range(space, *at, 8)?;
+                self.vmem.write_u64(space, *at, *old)?;
+                t += Cycles(costs.mem_access);
+            }
+        }
+        Ok(t)
+    }
+
+    /// Undo every record of `log` newest-first; a seeded `crash` point
+    /// fires between records. Returns the cycles charged and the pages
+    /// rewritten.
+    pub fn undo_all(
+        &mut self,
+        space: &mut AddressSpace,
+        log: &UndoLog,
+        crash: CrashPoint,
+    ) -> Result<(Cycles, u64), RollbackError> {
+        let (mut t, mut pages) = (Cycles::ZERO, 0);
+        for rec in log.records.iter().rev() {
+            if self.crash_fire(crash) {
+                return Err(RollbackError::Crashed);
+            }
+            pages += rec.pages();
+            t += self.undo_op(space, log, rec)?;
+        }
+        Ok((t, pages))
+    }
+
+    /// Roll an aborting cycle's `log` back in process (a
+    /// [`CrashPoint::MidRollback`] may fire between records). Returns the
+    /// cycles charged to `core` and the pages rewritten; the caller owes
+    /// the trailing TLB shootdown. A kernel-identified log rolls back at
+    /// most once ([`RollbackError::Replayed`], checked before anything is
+    /// undone): a second pass would clobber everything written since.
     pub fn rollback(
         &mut self,
         space: &mut AddressSpace,
-        journal: OpJournal,
+        log: UndoLog,
         core: CoreId,
     ) -> Result<(Cycles, u64), RollbackError> {
-        if journal.id != 0 && !self.retired_journals.insert(journal.id) {
-            return Err(RollbackError::Replayed { id: journal.id });
+        if log.id != 0 && !self.retired_journals.insert(log.id) {
+            return Err(RollbackError::Replayed { id: log.id });
         }
-        let costs = self.machine.costs;
-        let mut t = Cycles::ZERO;
-        let mut pages = 0u64;
-        for op in journal.ops.iter().rev() {
-            if self.crash_fire(CrashPoint::MidRollback) {
-                return Err(RollbackError::Crashed);
-            }
-            pages += op.pages();
-            match op {
-                UndoOp::PteSwap { req } => {
-                    for i in 0..req.pages {
-                        space
-                            .page_table_mut()
-                            .swap_ptes(req.a.add_pages(i), req.b.add_pages(i))?;
-                        self.perf.pte_swaps += 1;
-                        t += Cycles(costs.pte_swap);
-                    }
-                }
-                UndoOp::Bytes { at, saved } => {
-                    // A pre-image restored into a demoted page would be
-                    // clobbered by the next fetch-on-access; pull any far
-                    // page home before the raw write.
-                    t += self.tier_resolve_write_range(space, *at, saved.len() as u64)?;
-                    self.vmem.write_bytes(space, *at, &journal.bytes[saved.clone()])?;
-                    t += self.bandwidth.copy_cycles(&self.machine, saved.len() as u64);
-                }
-                UndoOp::Word { at, old } => {
-                    t += self.tier_resolve_write_range(space, *at, 8)?;
-                    self.vmem.write_u64(space, *at, *old)?;
-                    t += Cycles(costs.mem_access);
-                }
-            }
-        }
+        let (t, pages) = self.undo_all(space, &log, CrashPoint::MidRollback)?;
         self.perf.rollback_pages += pages;
         self.trace.instant(
             TraceKind::Rollback,
             Cycles::ZERO,
             core.0 as u32,
-            &[("ops", journal.len() as u64), ("pages", pages)],
+            &[("ops", log.len() as u64), ("pages", pages)],
         );
-        self.journal_stash_spare(journal.bytes);
+        self.journal_stash_spare(log);
         Ok((t, pages))
     }
 }
@@ -320,17 +341,21 @@ mod tests {
         assert_ne!(snapshot(&k, &s, a, 4 * PAGE_SIZE), before_a);
         let j = k.journal_take().unwrap();
         assert_eq!(j.len(), 1);
-        let (_, pages) = k.rollback(&mut s, j, CoreId(0)).unwrap();
+        let swaps = k.perf.pte_swaps;
+        let (t, pages) = k.rollback(&mut s, j, CoreId(0)).unwrap();
         assert_eq!(pages, 8);
         assert_eq!(snapshot(&k, &s, a, 4 * PAGE_SIZE), before_a);
         assert_eq!(snapshot(&k, &s, b, 4 * PAGE_SIZE), before_b);
         assert_eq!(k.perf.rollback_pages, 8);
+        // One pte_swap per restored page pair, counted like a forward swap.
+        assert_eq!(k.perf.pte_swaps - swaps, 4);
+        assert_eq!(t, Cycles(4 * k.machine.costs.pte_swap));
     }
 
     #[test]
     fn rollback_undoes_overlap_rotation() {
-        // The rotation is NOT involutive — this is exactly the case the
-        // byte snapshot exists for.
+        // The rotation is not an exchange of page pairs: its record is the
+        // byte image of the whole window.
         let (mut k, mut s) = setup(128);
         let base = k.vmem.alloc_region(&mut s, 10).unwrap();
         fill(&mut k, &s, base, 10, 3);
@@ -420,6 +445,19 @@ mod tests {
     }
 
     #[test]
+    fn unmapped_swap_records_nothing() {
+        let (mut k, mut s) = setup(64);
+        let a = k.vmem.alloc_region(&mut s, 2).unwrap();
+        let hole = a.add_pages(64);
+        k.journal_begin();
+        assert!(k
+            .swap_va(&mut s, CoreId(0), SwapRequest { a, b: hole, pages: 2 }, SwapVaOptions::naive())
+            .is_err());
+        let j = k.journal_take().unwrap();
+        assert!(j.is_empty() && j.words.is_empty(), "no partial pre-image survives");
+    }
+
+    #[test]
     fn empty_rollback_is_free() {
         let (mut k, mut s) = setup(16);
         k.journal_begin();
@@ -432,12 +470,10 @@ mod tests {
     #[test]
     fn journal_lifecycle() {
         let (mut k, _) = setup(16);
-        assert!(!k.journal_active());
         assert!(k.journal_take().is_none());
         k.journal_begin();
-        assert!(k.journal_active());
         assert!(k.journal_take().is_some());
-        assert!(!k.journal_active());
+        assert!(k.journal_take().is_none(), "take stops journaling");
     }
 
     #[test]
@@ -451,35 +487,69 @@ mod tests {
     }
 
     #[test]
+    fn undo_records_are_idempotent() {
+        // Installing a pre-image twice lands where installing it once
+        // does — the property a recovery that dies on a record and
+        // re-runs it leans on.
+        let (mut k, mut s) = setup(128);
+        let a = k.vmem.alloc_region(&mut s, 3).unwrap();
+        let b = k.vmem.alloc_region(&mut s, 3).unwrap();
+        fill(&mut k, &s, a, 3, 1);
+        fill(&mut k, &s, b, 3, 2);
+        let before = snapshot(&k, &s, a, 3 * PAGE_SIZE);
+        k.journal_begin();
+        k.swap_va(&mut s, CoreId(0), SwapRequest { a, b, pages: 3 }, SwapVaOptions::naive())
+            .unwrap();
+        k.write_word(&s, CoreId(0), a, 9).unwrap();
+        let log = k.journal_take().unwrap();
+        for rec in log.records().iter().rev() {
+            k.undo_op(&mut s, &log, rec).unwrap();
+            k.undo_op(&mut s, &log, rec).unwrap();
+        }
+        assert_eq!(snapshot(&k, &s, a, 3 * PAGE_SIZE), before);
+    }
+
+    #[test]
     fn replaying_a_rollback_is_rejected_before_corrupting() {
-        use crate::error::RollbackError;
         let (mut k, mut s) = setup(128);
         let a = k.vmem.alloc_region(&mut s, 2).unwrap();
         let b = k.vmem.alloc_region(&mut s, 2).unwrap();
         fill(&mut k, &s, a, 2, 1);
         fill(&mut k, &s, b, 2, 2);
         let before_a = snapshot(&k, &s, a, 2 * PAGE_SIZE);
+        let before_b = snapshot(&k, &s, b, 2 * PAGE_SIZE);
         k.journal_begin();
         k.swap_va(&mut s, CoreId(0), SwapRequest { a, b, pages: 2 }, SwapVaOptions::naive())
             .unwrap();
+        // The log also carries a word pre-image at `a` (b's first word,
+        // swapped in), which a blind replay would write back over `a`.
+        k.write_word(&s, CoreId(0), a, 0xBAD).unwrap();
         let j = k.journal_take().unwrap();
         let id = j.id();
         let replay = j.clone();
         k.rollback(&mut s, j, CoreId(0)).unwrap();
+        // The shootdown a rollback's caller owes: the TLB still maps `a`
+        // to the frame swapped in.
+        k.flush_asid_all_cores(CoreId(0), s.asid());
         assert_eq!(snapshot(&k, &s, a, 2 * PAGE_SIZE), before_a);
-        // Second replay: rejected up front, heap untouched (a blind
-        // re-apply would re-swap the pages and corrupt).
+        assert_eq!(snapshot(&k, &s, b, 2 * PAGE_SIZE), before_b);
+        // Something writes after the rollback; a second rollback would
+        // clobber it with the stale word pre-image. Rejected up front,
+        // with both ranges untouched.
+        k.write_word(&s, CoreId(0), a, 0xF00D).unwrap();
         assert_eq!(
             k.rollback(&mut s, replay, CoreId(0)),
             Err(RollbackError::Replayed { id })
         );
-        assert_eq!(snapshot(&k, &s, a, 2 * PAGE_SIZE), before_a);
+        let mut expect_a = before_a;
+        expect_a[..8].copy_from_slice(&0xF00Du64.to_le_bytes());
+        assert_eq!(snapshot(&k, &s, a, 2 * PAGE_SIZE), expect_a);
+        assert_eq!(snapshot(&k, &s, b, 2 * PAGE_SIZE), before_b);
     }
 
     #[test]
     fn mid_rollback_crash_aborts_the_restore() {
-        use crate::error::RollbackError;
-        use crate::fault::{CrashPlan, CrashPoint};
+        use crate::fault::CrashPlan;
         let (mut k, mut s) = setup(64);
         let a = k.vmem.alloc_region(&mut s, 1).unwrap();
         k.vmem.write_u64(&s, a, 1).unwrap();

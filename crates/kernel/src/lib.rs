@@ -21,10 +21,12 @@
 //!   surface as typed [`SwapVaError`]s that carry the cycles burned. Also
 //!   home of seeded [`fault::CrashPoint`]s, which kill the simulated
 //!   machine outright instead of returning an errno.
-//! * [`wal`] — the durable write-ahead journal for PTE-mutating ops:
-//!   intent records become durable *before* their mutations apply, so a
-//!   crash at any point leaves a log from which recovery can restore a
-//!   bit-exact pre- or post-cycle heap (never a hybrid).
+//! * [`journal`] — a GC cycle's undo log: one pre-image per mutation, and
+//!   one undo routine for both an aborting cycle and crash recovery.
+//! * [`wal`] — the undo log's durable mirror: intent records become
+//!   durable *before* their mutations apply, so a crash at any point
+//!   leaves a log from which recovery can restore a bit-exact pre- or
+//!   post-cycle heap (never a hybrid).
 //!
 //! All operations return the [`svagc_metrics::Cycles`] consumed so callers
 //! attribute time to the right simulated core.
@@ -52,11 +54,11 @@ pub use device::{
 };
 pub use error::{RollbackError, SwapVaError};
 pub use fault::{CrashPlan, CrashPoint, FaultConfig, FaultKind, FaultPlan};
-pub use journal::{OpJournal, UndoOp};
+pub use journal::{UndoLog, UndoRecord};
 pub use overlap::gcd;
 pub use retry::RetryPolicy;
 pub use shootdown::{FlushMode, Interference};
 pub use state::{CoreId, Kernel};
 pub use swapva::{SwapRequest, SwapVaOptions};
 pub use tier::{FarTier, TierError, TierStats};
-pub use wal::{WalMutation, WalOp, WalPayload, WalRecord, WalScan, WalStats, WriteAheadLog, TIER_EPOCH};
+pub use wal::{WalMutation, WalPayload, WalRecord, WalScan, WalStats, WriteAheadLog, TIER_EPOCH};

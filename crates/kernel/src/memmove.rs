@@ -7,6 +7,7 @@
 //! passes through the cache simulator — the pollution Table III measures —
 //! but the *timing* stays bandwidth-modeled to avoid double counting.
 
+use crate::journal::Overwrite;
 use crate::state::{CoreId, Kernel};
 use svagc_metrics::{AccessKind, Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, VirtAddr, VmError};
@@ -38,20 +39,10 @@ impl Kernel {
             }
         }
 
-        // The copy destroys the destination; journal its bytes first so an
-        // aborting GC cycle can restore them (see `crate::journal`), and
-        // write the same pre-image ahead to the durable log so a crashed
-        // cycle can restore them after a restart (see `crate::wal`).
-        if self.wal_cycle_open() {
-            let mut pre = vec![0u8; len as usize];
-            self.vmem.read_bytes(space, dst, &mut pre)?;
-            if let Ok(c) = self.wal_log_op(crate::wal::WalOp::Bytes { at: dst, pre }, false) {
-                t += c;
-            }
-        }
-        if let Some(saved) = self.journal_stash_bytes(space, dst, len)? {
-            self.journal_record(crate::journal::UndoOp::Bytes { at: dst, saved });
-        }
+        // The copy destroys the destination; record its bytes first so an
+        // aborting GC cycle can restore them in process, or recovery after
+        // a crash (see `crate::journal`).
+        t += self.record_undo(space, Overwrite::Bytes { at: dst, len }, false)?;
         // Functional move, overlap-safe, without materialising a bounce
         // buffer (the GC copy loop calls this once per moved object; a
         // per-call allocation plus double traffic dominated host time).

@@ -7,8 +7,8 @@
 //! counts land in [`Kernel::perf`].
 
 use crate::fault::{CrashPlan, CrashPoint, FaultPlan};
-use crate::journal::{OpJournal, UndoOp};
-use crate::wal::{WalOp, WriteAheadLog};
+use crate::journal::{Overwrite, UndoLog};
+use crate::wal::WriteAheadLog;
 use std::collections::HashSet;
 use svagc_metrics::{
     AccessKind, BandwidthModel, CacheHierarchy, CacheLevel, Cycles, MachineConfig, PerfCounters,
@@ -48,8 +48,8 @@ pub struct Kernel {
     pinned: Option<CoreId>,
     /// Seeded SwapVA fault schedule (None = fault-free).
     pub(crate) fault: Option<FaultPlan>,
-    /// Active undo journal (None = not recording). See [`crate::journal`].
-    pub(crate) journal: Option<OpJournal>,
+    /// Active undo log (None = not recording). See [`crate::journal`].
+    pub(crate) journal: Option<UndoLog>,
     /// Virtual-time event sink (disabled by default; see
     /// [`svagc_metrics::trace`]). Kernel hot paths emit into it
     /// unconditionally — a disabled sink is a no-op.
@@ -69,9 +69,9 @@ pub struct Kernel {
     /// Latched crash: once a crash point fires the machine is dead until
     /// [`Kernel::reboot`].
     pub(crate) crashed: Option<CrashPoint>,
-    /// Retired journals' byte arena, recycled into the next
-    /// [`Kernel::journal_begin`] so pre-image buffers stay warm.
-    pub(crate) journal_spare: Vec<u8>,
+    /// A retired log's arenas, kept warm for the next
+    /// [`Kernel::journal_begin`] (and for WAL-only captures).
+    pub(crate) journal_spare: UndoLog,
     /// Monotonic id source for undo journals (never reused).
     pub(crate) next_journal_id: u64,
     /// Journal ids whose rollback already ran — replays are rejected.
@@ -97,10 +97,10 @@ impl Kernel {
             pinned: None,
             fault: None,
             journal: None,
-            journal_spare: Vec::new(),
+            journal_spare: UndoLog::default(),
             trace: Tracer::disabled(),
             tlb_oracle: TlbOracle::disabled(),
-            wal: WriteAheadLog::new(),
+            wal: WriteAheadLog::default(),
             tier: None,
             crash: Vec::new(),
             crashed: None,
@@ -341,10 +341,10 @@ impl Kernel {
     }
 
     /// Write one word through `space` on `core`, with full charging.
-    /// While an undo journal is recording, the word's old value is
-    /// journaled first — this is how GC metadata writes (forwarding
-    /// pointers, adjusted reference fields) become invertible without any
-    /// collector-side bookkeeping.
+    /// While an undo log (or a WAL cycle) is recording, the word's old
+    /// value is recorded first — this is how GC metadata writes
+    /// (forwarding pointers, adjusted reference fields) become undoable
+    /// without any collector-side bookkeeping.
     pub fn write_word(
         &mut self,
         space: &AddressSpace,
@@ -354,19 +354,7 @@ impl Kernel {
     ) -> Result<Cycles, VmError> {
         let (pa, t) = self.translate(space, core, va)?;
         let mut lat = self.cache_access(pa, AccessKind::Write);
-        if self.journal.is_some() || self.wal.cycle_open() {
-            let old = self.vmem.phys.read_u64(pa)?;
-            if self.wal.cycle_open() {
-                // Word intents are written-ahead too, but crash-atomically
-                // (a single-word log write can't tear meaningfully).
-                if let Ok(c) = self.wal_log_op(WalOp::Word { at: va, pre: old }, false) {
-                    lat += c;
-                }
-            }
-            if self.journal.is_some() {
-                self.journal_record(UndoOp::Word { at: va, old });
-            }
-        }
+        lat += self.record_undo(space, Overwrite::Word { at: va, pa }, false)?;
         self.vmem.phys.write_u64(pa, val)?;
         Ok(t + lat)
     }

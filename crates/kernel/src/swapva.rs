@@ -18,11 +18,10 @@
 
 use crate::error::SwapVaError;
 use crate::fault::CrashPoint;
-use crate::journal::UndoOp;
+use crate::journal::Overwrite;
 use crate::overlap;
 use crate::shootdown::{FlushMode, Interference};
 use crate::state::{CoreId, Kernel};
-use crate::wal::WalOp;
 use svagc_metrics::{Cycles, TraceKind};
 use svagc_vmem::{AddressSpace, PmdCache, VirtAddr, VmError, PAGE_SIZE, WALK_LEVELS_FULL};
 
@@ -264,31 +263,19 @@ impl Kernel {
                     pages: req.pages,
                 }));
             }
-            // The rotation is not involutive, so journal the byte contents
-            // of the whole window union. Recording only on success is
-            // exact: the rotation validates its window up front and
-            // mutates nothing on error. The WAL intent, by contrast, must
-            // be durable *before* the rotation runs — write-ahead ordering
-            // is what makes a crash between log and apply recoverable.
+            // The rotation permutes the whole window union, so its undo
+            // record is the window's byte image, durable *before* the
+            // rotation runs — write-ahead ordering is what makes a crash
+            // between log and apply recoverable.
             let lo = if req.a <= req.b { req.a } else { req.b };
             let delta = req.a.get().abs_diff(req.b.get()) / PAGE_SIZE;
-            let union_len = (req.pages + delta) * PAGE_SIZE;
-            let mut t = Cycles::ZERO;
-            if self.wal_cycle_open() {
-                let mut pre = vec![0u8; union_len as usize];
-                self.vmem.read_bytes(space, lo, &mut pre).map_err(SwapVaError::Vm)?;
-                t += self
-                    .wal_log_op(WalOp::Bytes { at: lo, pre }, true)
-                    .map_err(|point| SwapVaError::Crashed { point })?;
+            let len = (req.pages + delta) * PAGE_SIZE;
+            let mut t = self.record_undo(space, Overwrite::Bytes { at: lo, len }, true)?;
+            if let Some(point) = self.crashed() {
+                return Err(SwapVaError::Crashed { point });
             }
-            let stashed = self
-                .journal_stash_bytes(space, lo, union_len)
-                .map_err(SwapVaError::Vm)?;
             t += overlap::swap_overlap_body(self, space, core, req, opts.pmd_cache)
                 .map_err(SwapVaError::Vm)?;
-            if let Some(saved) = stashed {
-                self.journal_record(UndoOp::Bytes { at: lo, saved });
-            }
             return Ok(t);
         }
 
@@ -299,31 +286,14 @@ impl Kernel {
         let mut cache_a = PmdCache::new();
         let mut cache_b = PmdCache::new();
 
-        // Validate both ranges up front so a failure cannot leave a
-        // half-swapped mapping. The raw PTEs double as the WAL intent's
-        // pre-images: undo installs them verbatim, which is idempotent
+        // Record the raw PTEs of both ranges before any of them moves
+        // (and, write-ahead, make them durable). The read doubles as
+        // up-front validation, so a failure cannot leave a half-swapped
+        // mapping; undo installs them verbatim, which is idempotent
         // whether or not the swap below ever ran.
-        let wal_on = self.wal_cycle_open();
-        let mut pre = Vec::new();
-        for i in 0..req.pages {
-            let ra = space.page_table().read_pte_raw(req.a.add_pages(i))?;
-            let rb = space.page_table().read_pte_raw(req.b.add_pages(i))?;
-            if wal_on {
-                pre.push((ra, rb));
-            }
-        }
-        if wal_on {
-            // Write-ahead: the intent must be durable before any PTE moves.
-            t += self
-                .wal_log_op(
-                    WalOp::PteSwap {
-                        a: req.a,
-                        b: req.b,
-                        pre,
-                    },
-                    true,
-                )
-                .map_err(|point| SwapVaError::Crashed { point })?;
+        t += self.record_undo(space, Overwrite::Ptes(req), true)?;
+        if let Some(point) = self.crashed() {
+            return Err(SwapVaError::Crashed { point });
         }
 
         for i in 0..req.pages {
@@ -337,10 +307,6 @@ impl Kernel {
             t += Cycles(costs.pte_swap);
             self.perf.pte_swaps += 1;
         }
-        // A disjoint swap is involutive: undo = re-swap. Journaled after
-        // the loop, which cannot fail mid-way (both ranges were validated
-        // above).
-        self.journal_record(UndoOp::PteSwap { req });
         Ok(t)
     }
 

@@ -1,13 +1,18 @@
-//! Write-ahead journal for PTE-mutating operations (crash consistency).
+//! Write-ahead log: the durable mirror of a GC cycle's undo log (crash
+//! consistency).
 //!
-//! The in-memory [`crate::journal::OpJournal`] makes a GC cycle atomic
-//! only while the process survives to roll it back. A crash mid-cycle —
+//! The in-memory [`crate::journal::UndoLog`] makes a GC cycle atomic only
+//! while the process survives to roll it back. A crash mid-cycle —
 //! mid-batch, mid-shootdown, even mid-rollback — leaves the *address
 //! space itself* torn, a failure mode unique to a collector that moves
 //! objects by swapping PTEs. This module adds the durable half: a
-//! simulated write-ahead log ([`WriteAheadLog`]) that every PTE-mutating
-//! operation appends an intent record to *before* applying, bracketed by
-//! cycle-begin and commit records.
+//! simulated write-ahead log ([`WriteAheadLog`]) to which every undo
+//! record is also appended, as an intent, *before* its mutation applies,
+//! bracketed by cycle-begin and commit records. Both halves are written
+//! by the same call (`Kernel::record_undo`), which reads each pre-image
+//! once; after a restart, recovery decodes a cycle's intents back into
+//! one [`UndoLog`] ([`UndoLog::push_intent`]) and undoes them through the
+//! same routine as an in-process rollback ([`Kernel::undo_all`]).
 //!
 //! Design rules the recovery state machine relies on:
 //!
@@ -15,13 +20,13 @@
 //!   before the operation mutates memory or page tables. After a crash
 //!   the log is therefore a *superset* of the applied operations: at most
 //!   the final logged intent may be unapplied.
-//! * **Idempotent undo** — intent records store absolute pre-images, not
-//!   inverse operations. A [`WalOp::PteSwap`] records the raw pre-swap
-//!   PTE of every page (installing them again is a no-op if the swap
-//!   never happened — unlike re-swapping, which is an involution and
-//!   would corrupt); [`WalOp::Bytes`]/[`WalOp::Word`] record prior
-//!   contents. Undo can thus be replayed any number of times — which is
-//!   exactly what makes recovery itself restartable after a double crash.
+//! * **Idempotent undo** — intents are undo records, which store
+//!   absolute pre-images, not inverse operations: the raw pre-swap PTE of
+//!   every page pair (installing them again is a no-op if the swap never
+//!   happened — unlike re-swapping, which would corrupt), or the prior
+//!   bytes or word. Undo can thus be replayed any number of times — which
+//!   is exactly what makes recovery itself restartable after a double
+//!   crash.
 //! * **Checksummed framing** — each record carries a magic word, its
 //!   length, epoch, sequence number, and an FNV-1a checksum. A crash
 //!   during an append leaves a torn tail that [`WriteAheadLog::scan`]
@@ -36,9 +41,10 @@
 //! records are modeled as asynchronous log writes off the critical path.
 
 use crate::fault::CrashPoint;
+use crate::journal::{UndoLog, UndoRecord};
 use crate::state::Kernel;
 use svagc_metrics::{Cycles, TraceKind};
-use svagc_vmem::{AddressSpace, VirtAddr, VmError, PAGE_SIZE, WORD_BYTES};
+use svagc_vmem::{VirtAddr, WORD_BYTES};
 
 /// Magic word opening every WAL record frame.
 pub const WAL_MAGIC: u64 = 0x5356_4147_4357_414C; // "SVAGCWAL"
@@ -65,151 +71,104 @@ fn fnv_words(words: &[u64]) -> u64 {
     h
 }
 
-/// One PTE-mutating operation with the absolute pre-state needed to undo
-/// it idempotently (see the module docs for why pre-images, not inverses).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalOp {
-    /// A disjoint PTE swap: the raw pre-swap PTE of every page on both
-    /// sides. Undo installs the recorded raws — idempotent whether or not
-    /// the swap (or a previous undo) already ran.
-    PteSwap {
-        /// First range base.
-        a: VirtAddr,
-        /// Second range base.
-        b: VirtAddr,
-        /// Per-page `(raw PTE at a+i, raw PTE at b+i)` before the swap.
-        pre: Vec<(u64, u64)>,
-    },
-    /// A byte-range overwrite (memmove destination, overlap-rotation
-    /// window): the range's contents before the overwrite.
-    Bytes {
-        /// Start of the overwritten virtual range.
-        at: VirtAddr,
-        /// Pre-image of the range.
-        pre: Vec<u8>,
-    },
-    /// A single metadata-word write: the word's prior value.
-    Word {
-        /// The written word's virtual address.
-        at: VirtAddr,
-        /// Pre-image of the word.
-        pre: u64,
-    },
+/// Body-word tags of the three intent shapes (first payload word).
+const TAG_PTES: u64 = 1;
+const TAG_BYTES: u64 = 2;
+const TAG_WORD: u64 = 3;
+
+/// Record kind code of an intent frame.
+const KIND_INTENT: u64 = 2;
+
+/// Serialize one undo record of `log` as an intent body. `Bytes` and
+/// `Word` intents carry a trailing FNV checksum of their pre-image,
+/// verified again at decode: the *frame* checksum covers the log write,
+/// this one covers the pre-image data recovery is about to install into
+/// the heap.
+fn encode_intent(log: &UndoLog, rec: &UndoRecord) -> Vec<u64> {
+    match rec {
+        UndoRecord::Ptes { a, b, saved } => {
+            let pre = &log.words[saved.clone()];
+            let mut w = Vec::with_capacity(4 + pre.len());
+            w.extend_from_slice(&[TAG_PTES, a.get(), b.get(), (pre.len() / 2) as u64]);
+            w.extend_from_slice(pre);
+            w
+        }
+        UndoRecord::Bytes { at, saved } => {
+            let pre = &log.bytes[saved.clone()];
+            let mut w = Vec::with_capacity(4 + pre.len().div_ceil(WORD_BYTES as usize));
+            w.extend_from_slice(&[TAG_BYTES, at.get(), pre.len() as u64]);
+            for chunk in pre.chunks(WORD_BYTES as usize) {
+                let mut buf = [0u8; 8];
+                buf[..chunk.len()].copy_from_slice(chunk);
+                w.push(u64::from_le_bytes(buf));
+            }
+            let sum = fnv_words(&w[3..]);
+            w.push(sum);
+            w
+        }
+        UndoRecord::Word { at, old } => vec![TAG_WORD, at.get(), *old, fnv_words(&[*old])],
+    }
 }
 
-/// Outcome of decoding a serialized [`WalOp`]: structurally valid ops
-/// additionally carry a pre-image checksum (for [`WalOp::Bytes`] and
-/// [`WalOp::Word`]) that can mismatch even when the record frame itself
-/// validates — the signature of a corrupted or stale intent body.
-enum DecodedOp {
-    Ok(WalOp),
-    BadPreimage,
+/// Decode an intent body and append its record to `log`. `None` on
+/// malformed input; `Some(false)`, appending nothing, when the body parses
+/// but its pre-image checksum mismatches — the signature of a corrupted or
+/// stale intent.
+fn decode_intent(w: &[u64], log: &mut UndoLog) -> Option<bool> {
+    let rec = match *w.first()? {
+        TAG_PTES => {
+            let pages = *w.get(3)? as usize;
+            if w.len() != 4 + 2 * pages {
+                return None;
+            }
+            let w0 = log.words.len();
+            log.words.extend_from_slice(&w[4..]);
+            UndoRecord::Ptes { a: VirtAddr(w[1]), b: VirtAddr(w[2]), saved: w0..log.words.len() }
+        }
+        TAG_BYTES => {
+            let len = *w.get(2)? as usize;
+            let data_words = len.div_ceil(WORD_BYTES as usize);
+            if w.len() != 4 + data_words {
+                return None;
+            }
+            if fnv_words(&w[3..3 + data_words]) != w[3 + data_words] {
+                return Some(false);
+            }
+            let b0 = log.bytes.len();
+            log.bytes.extend(w[3..3 + data_words].iter().flat_map(|x| x.to_le_bytes()));
+            log.bytes.truncate(b0 + len);
+            UndoRecord::Bytes { at: VirtAddr(w[1]), saved: b0..b0 + len }
+        }
+        TAG_WORD => {
+            if w.len() != 4 {
+                return None;
+            }
+            if fnv_words(&[w[2]]) != w[3] {
+                return Some(false);
+            }
+            UndoRecord::Word { at: VirtAddr(w[1]), old: w[2] }
+        }
+        _ => return None,
+    };
+    log.records.push(rec);
+    Some(true)
 }
 
-impl WalOp {
-    /// Serialize to payload words. `Bytes` and `Word` intents carry a
-    /// trailing FNV checksum of their pre-image, verified again at
-    /// decode: the *frame* checksum covers the log write, this one covers
-    /// the pre-image data recovery is about to install into the heap.
-    fn encode(&self) -> Vec<u64> {
-        match self {
-            WalOp::PteSwap { a, b, pre } => {
-                let mut w = vec![1, a.get(), b.get(), pre.len() as u64];
-                for &(ra, rb) in pre {
-                    w.push(ra);
-                    w.push(rb);
-                }
-                w
-            }
-            WalOp::Bytes { at, pre } => {
-                let mut w = vec![2, at.get(), pre.len() as u64];
-                for chunk in pre.chunks(WORD_BYTES as usize) {
-                    let mut buf = [0u8; 8];
-                    buf[..chunk.len()].copy_from_slice(chunk);
-                    w.push(u64::from_le_bytes(buf));
-                }
-                let sum = fnv_words(&w[3..]);
-                w.push(sum);
-                w
-            }
-            WalOp::Word { at, pre } => vec![3, at.get(), *pre, fnv_words(&[*pre])],
-        }
+impl UndoLog {
+    /// Append the record a [`WalPayload::Intent`] body carries — how
+    /// recovery gathers an epoch's intents into one log. False, appending
+    /// nothing, when the body does not decode.
+    pub fn push_intent(&mut self, body: &[u64]) -> bool {
+        decode_intent(body, self) == Some(true)
     }
+}
 
-    /// Decode from payload words (None on malformed input; `BadPreimage`
-    /// when the op parses but its pre-image checksum mismatches).
-    fn decode(w: &[u64]) -> Option<DecodedOp> {
-        match *w.first()? {
-            1 => {
-                let pages = *w.get(3)? as usize;
-                if w.len() != 4 + 2 * pages {
-                    return None;
-                }
-                let pre = (0..pages).map(|i| (w[4 + 2 * i], w[5 + 2 * i])).collect();
-                Some(DecodedOp::Ok(WalOp::PteSwap {
-                    a: VirtAddr(w[1]),
-                    b: VirtAddr(w[2]),
-                    pre,
-                }))
-            }
-            2 => {
-                let len = *w.get(2)? as usize;
-                let data_words = len.div_ceil(WORD_BYTES as usize);
-                if w.len() != 4 + data_words {
-                    return None;
-                }
-                if fnv_words(&w[3..3 + data_words]) != w[3 + data_words] {
-                    return Some(DecodedOp::BadPreimage);
-                }
-                let mut pre = Vec::with_capacity(len);
-                for (i, &word) in w[3..3 + data_words].iter().enumerate() {
-                    let bytes = word.to_le_bytes();
-                    let take = (len - i * WORD_BYTES as usize).min(WORD_BYTES as usize);
-                    pre.extend_from_slice(&bytes[..take]);
-                }
-                Some(DecodedOp::Ok(WalOp::Bytes {
-                    at: VirtAddr(w[1]),
-                    pre,
-                }))
-            }
-            3 => {
-                if w.len() != 4 {
-                    return None;
-                }
-                if fnv_words(&[w[2]]) != w[3] {
-                    return Some(DecodedOp::BadPreimage);
-                }
-                Some(DecodedOp::Ok(WalOp::Word {
-                    at: VirtAddr(w[1]),
-                    pre: w[2],
-                }))
-            }
-            _ => None,
-        }
-    }
-
-    /// Log-record bytes this op serializes to (for cost charging).
-    /// Computed from the op's shape, NOT from `encode()`: the pre-image
-    /// checksum word rides the frame's existing trailer budget, so cost
-    /// charges (and therefore every pre-existing run digest) are
-    /// independent of it.
-    pub fn encoded_bytes(&self) -> u64 {
-        let body_words = match self {
-            WalOp::PteSwap { pre, .. } => 4 + 2 * pre.len(),
-            WalOp::Bytes { pre, .. } => 3 + pre.len().div_ceil(WORD_BYTES as usize),
-            WalOp::Word { .. } => 3,
-        };
-        (body_words + FRAME_WORDS) as u64 * WORD_BYTES
-    }
-
-    /// Pages whose content an undo of this op rewrites.
-    pub fn pages(&self) -> u64 {
-        match self {
-            WalOp::PteSwap { pre, .. } => 2 * pre.len() as u64,
-            WalOp::Bytes { pre, .. } => (pre.len() as u64).div_ceil(PAGE_SIZE),
-            WalOp::Word { .. } => 0,
-        }
-    }
+/// Log-record bytes charged for an intent `body`: the framed body minus
+/// its pre-image checksum word, which rides the frame's existing trailer
+/// budget — cost charges (and so every run digest) are independent of it.
+fn intent_bytes(body: &[u64]) -> u64 {
+    let checksum = usize::from(body[0] != TAG_PTES);
+    (body.len() - checksum + FRAME_WORDS) as u64 * WORD_BYTES
 }
 
 /// The body of a decoded WAL record.
@@ -221,9 +180,11 @@ pub enum WalPayload {
         /// Opaque metadata payload (owned by the GC layer).
         meta: Vec<u64>,
     },
-    /// An intent: the operation that was about to be applied when the
-    /// record became durable.
-    Intent(WalOp),
+    /// An intent: the undo record of the mutation that was about to be
+    /// applied when the record became durable, as its encoded body (shape
+    /// and pre-image checksum verified by the scan); decode it into an
+    /// undo log with [`UndoLog::push_intent`].
+    Intent(Vec<u64>),
     /// The cycle committed; carries serialized post-cycle metadata.
     Commit {
         /// Opaque metadata payload (owned by the GC layer).
@@ -264,22 +225,22 @@ impl WalPayload {
     fn kind_code(&self) -> u64 {
         match self {
             WalPayload::CycleBegin { .. } => 1,
-            WalPayload::Intent(_) => 2,
+            WalPayload::Intent(_) => KIND_INTENT,
             WalPayload::Commit { .. } => 3,
             WalPayload::CycleAborted => 4,
             WalPayload::Recovered { .. } => 5,
             WalPayload::TierDemote { .. } => 6,
             WalPayload::TierPromote { .. } => 7,
-            // Decode-only: a BadIntent is what a kind-2 record becomes
+            // Decode-only: a BadIntent is what an intent record becomes
             // when its pre-image checksum fails; it is never appended.
-            WalPayload::BadIntent => 2,
+            WalPayload::BadIntent => KIND_INTENT,
         }
     }
 
     fn encode(&self) -> Vec<u64> {
         match self {
             WalPayload::CycleBegin { meta } | WalPayload::Commit { meta } => meta.clone(),
-            WalPayload::Intent(op) => op.encode(),
+            WalPayload::Intent(body) => body.clone(),
             WalPayload::CycleAborted => Vec::new(),
             WalPayload::Recovered { outcome } => vec![*outcome],
             WalPayload::TierDemote { frame, slot } | WalPayload::TierPromote { frame, slot } => {
@@ -294,9 +255,9 @@ impl WalPayload {
             1 => Some(WalPayload::CycleBegin {
                 meta: payload.to_vec(),
             }),
-            2 => WalOp::decode(payload).map(|d| match d {
-                DecodedOp::Ok(op) => WalPayload::Intent(op),
-                DecodedOp::BadPreimage => WalPayload::BadIntent,
+            KIND_INTENT => Some(match decode_intent(payload, &mut UndoLog::default())? {
+                true => WalPayload::Intent(payload.to_vec()),
+                false => WalPayload::BadIntent,
             }),
             3 => Some(WalPayload::Commit {
                 meta: payload.to_vec(),
@@ -425,11 +386,6 @@ pub struct WriteAheadLog {
 }
 
 impl WriteAheadLog {
-    /// A fresh, disabled log.
-    pub fn new() -> WriteAheadLog {
-        WriteAheadLog::default()
-    }
-
     /// Is logging armed?
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -440,11 +396,6 @@ impl WriteAheadLog {
         self.enabled && self.open_epoch.is_some()
     }
 
-    /// Epoch of the open cycle, if any.
-    pub fn open_epoch(&self) -> Option<u64> {
-        self.open_epoch
-    }
-
     /// Volatile state lost in a reboot: the open-cycle cursor. The durable
     /// image and the epoch counter survive.
     pub(crate) fn drop_volatile(&mut self) {
@@ -452,17 +403,19 @@ impl WriteAheadLog {
         self.seq = 0;
     }
 
-    /// Append a framed record; when `tear_at` is set, write only that many
-    /// words of the frame (a crash mid-append) and mark the log torn.
-    fn append(&mut self, epoch: u64, seq: u64, payload: &WalPayload, tear: bool) {
-        let mut body = payload.encode();
-        let kind = payload.kind_code();
+    /// Append `payload` as a framed record (see [`WriteAheadLog::append`]).
+    fn append_payload(&mut self, epoch: u64, seq: u64, payload: &WalPayload, tear: bool) {
+        self.append(epoch, seq, payload.kind_code(), payload.encode(), tear);
+    }
+
+    /// Append a framed record of `kind` around `body`; when `tear` is set,
+    /// write only a strict prefix of the frame (a crash mid-append) and
+    /// mark the log torn.
+    fn append(&mut self, epoch: u64, seq: u64, kind: u64, mut body: Vec<u64>, tear: bool) {
         if self.mutation == Some(WalMutation::CorruptPreimage)
             && !self.epoch_corrupted
-            && matches!(
-                payload,
-                WalPayload::Intent(WalOp::Bytes { .. } | WalOp::Word { .. })
-            )
+            && kind == KIND_INTENT
+            && matches!(body.first(), Some(&(TAG_BYTES | TAG_WORD)))
         {
             // Teeth mutation: flip a bit in the last pre-image data word
             // (never the op checksum itself), then frame the corrupted
@@ -474,16 +427,10 @@ impl WriteAheadLog {
             self.epoch_corrupted = true;
             self.stats.preimages_corrupted += 1;
         }
-        let mut frame = Vec::with_capacity(FRAME_WORDS + body.len());
-        frame.push(WAL_MAGIC);
-        frame.push(body.len() as u64);
-        frame.push(epoch);
-        frame.push(seq);
-        frame.push(kind);
+        // The trailing checksum covers everything after the magic.
+        let mut frame = vec![WAL_MAGIC, body.len() as u64, epoch, seq, kind];
         frame.extend_from_slice(&body);
-        let mut sum_input = vec![body.len() as u64, epoch, seq, kind];
-        sum_input.extend_from_slice(&body);
-        frame.push(fnv_words(&sum_input));
+        frame.push(fnv_words(&frame[1..]));
         if tear {
             // Power failed partway through the log write: keep a strict
             // prefix (at least the magic so the tear is visible, never the
@@ -515,9 +462,7 @@ impl WriteAheadLog {
                 }
                 let (epoch, seq, kind) = (w[at + 2], w[at + 3], w[at + 4]);
                 let body = &w[at + 5..at + 5 + body_len];
-                let mut sum_input = vec![body_len as u64, epoch, seq, kind];
-                sum_input.extend_from_slice(body);
-                if w[at + total - 1] != fnv_words(&sum_input) {
+                if w[at + total - 1] != fnv_words(&w[at + 1..at + total - 1]) {
                     return None;
                 }
                 let payload = WalPayload::decode(kind, body)?;
@@ -582,6 +527,19 @@ impl Kernel {
         self.wal.mutation = m;
     }
 
+    /// Append a bookkeeping record (anything but an intent) and trace it.
+    fn wal_record(&mut self, epoch: u64, seq: u64, payload: WalPayload) {
+        let kind = payload.kind_code();
+        self.wal.append_payload(epoch, seq, &payload, false);
+        let outcome = match payload {
+            WalPayload::Recovered { outcome } => outcome,
+            _ => 0,
+        };
+        let args = [("kind", kind), ("epoch", epoch), ("outcome", outcome)];
+        let n = if kind == 5 { 3 } else { 2 };
+        self.trace.instant(TraceKind::WalRecord, Cycles::ZERO, 0, &args[..n]);
+    }
+
     /// Open a cycle: append a begin record carrying the GC layer's opaque
     /// metadata. Returns the epoch, or `None` when the log is disarmed.
     pub fn wal_cycle_begin(&mut self, meta: Vec<u64>) -> Option<u64> {
@@ -593,15 +551,8 @@ impl Kernel {
         self.wal.open_epoch = Some(epoch);
         self.wal.epoch_dropped = false;
         self.wal.epoch_corrupted = false;
-        self.wal.seq = 0;
-        self.wal.append(epoch, 0, &WalPayload::CycleBegin { meta }, false);
         self.wal.seq = 1;
-        self.trace.instant(
-            TraceKind::WalRecord,
-            Cycles::ZERO,
-            0,
-            &[("kind", 1), ("epoch", epoch)],
-        );
+        self.wal_record(epoch, 0, WalPayload::CycleBegin { meta });
         Some(epoch)
     }
 
@@ -615,45 +566,23 @@ impl Kernel {
             self.wal.stats.commits_skipped += 1;
             return;
         }
-        let seq = self.wal.seq;
-        self.wal.append(epoch, seq, &WalPayload::Commit { meta }, false);
-        self.trace.instant(
-            TraceKind::WalRecord,
-            Cycles::ZERO,
-            0,
-            &[("kind", 3), ("epoch", epoch)],
-        );
+        self.wal_record(epoch, self.wal.seq, WalPayload::Commit { meta });
     }
 
     /// Mark the open cycle aborted-and-rolled-back (its in-process undo
     /// completed, so the epoch is resolved). No-op when no cycle is open.
     pub fn wal_cycle_aborted(&mut self) {
-        let Some(epoch) = self.wal.open_epoch.take() else {
-            return;
-        };
-        let seq = self.wal.seq;
-        self.wal.append(epoch, seq, &WalPayload::CycleAborted, false);
-        self.trace.instant(
-            TraceKind::WalRecord,
-            Cycles::ZERO,
-            0,
-            &[("kind", 4), ("epoch", epoch)],
-        );
+        if let Some(epoch) = self.wal.open_epoch.take() {
+            self.wal_record(epoch, self.wal.seq, WalPayload::CycleAborted);
+        }
     }
 
     /// Append a recovery-resolution record for `epoch` (recovery replayed
     /// its undo/redo and verified the result).
     pub fn wal_mark_recovered(&mut self, epoch: u64, outcome: u64) {
-        if !self.wal.enabled {
-            return;
+        if self.wal.enabled {
+            self.wal_record(epoch, u64::MAX, WalPayload::Recovered { outcome });
         }
-        self.wal.append(epoch, u64::MAX, &WalPayload::Recovered { outcome }, false);
-        self.trace.instant(
-            TraceKind::WalRecord,
-            Cycles::ZERO,
-            0,
-            &[("kind", 5), ("epoch", epoch), ("outcome", outcome)],
-        );
     }
 
     /// Scan the durable log (the first thing recovery does after a
@@ -677,17 +606,9 @@ impl Kernel {
         }
         let seq = self.wal.tier_seq;
         self.wal.tier_seq += 1;
-        let kind = payload.kind_code();
-        let bytes = (2 + FRAME_WORDS) as u64 * WORD_BYTES;
-        self.wal.append(TIER_EPOCH, seq, &payload, false);
+        self.wal_record(TIER_EPOCH, seq, payload);
         self.wal.stats.tier_records += 1;
-        self.trace.instant(
-            TraceKind::WalRecord,
-            Cycles::ZERO,
-            0,
-            &[("kind", kind), ("epoch", TIER_EPOCH)],
-        );
-        self.bandwidth.copy_cycles(&self.machine, bytes)
+        self.bandwidth.copy_cycles(&self.machine, (2 + FRAME_WORDS) as u64 * WORD_BYTES)
     }
 
     /// The log's activity counters.
@@ -695,73 +616,31 @@ impl Kernel {
         self.wal.stats()
     }
 
-    /// Append an intent record for `op` ahead of applying it. Charges the
-    /// caller for the log write through the bandwidth model. When
-    /// `may_crash` is set, a pending [`CrashPoint::MidLogAppend`] fires
-    /// here: the frame is torn mid-write and the error tells the caller
-    /// the machine is gone (the operation must NOT be applied).
-    pub(crate) fn wal_log_op(
-        &mut self,
-        op: WalOp,
-        may_crash: bool,
-    ) -> Result<Cycles, CrashPoint> {
-        if !self.wal.cycle_open() {
-            return Ok(Cycles::ZERO);
-        }
-        if self.wal.mutation == Some(WalMutation::DropIntent)
-            && !self.wal.epoch_dropped
-            && matches!(op, WalOp::PteSwap { .. })
-        {
-            // Teeth mutation: the epoch's first PTE-swap intent vanishes.
-            // Keep the sequence counter moving so exactly one record per
-            // epoch is lost.
-            self.wal.epoch_dropped = true;
-            self.wal.seq += 1;
-            self.wal.stats.intents_dropped += 1;
-            return Ok(Cycles::ZERO);
-        }
-        let bytes = op.encoded_bytes();
-        let epoch = self.wal.open_epoch.expect("cycle_open checked above");
+    /// Write `rec` (a record of `log`) ahead of applying its mutation, as
+    /// the open cycle's intent, and return the log write's cost (charged
+    /// through the bandwidth model). With `may_crash`, a pending
+    /// [`CrashPoint::MidLogAppend`] tears the frame mid-write and latches
+    /// the crash.
+    pub(crate) fn wal_intent(&mut self, log: &UndoLog, rec: &UndoRecord, may_crash: bool) -> Cycles {
+        let epoch = self.wal.open_epoch.expect("intents are written inside an open cycle");
         let seq = self.wal.seq;
         self.wal.seq += 1;
+        if self.wal.mutation == Some(WalMutation::DropIntent)
+            && !self.wal.epoch_dropped
+            && matches!(rec, UndoRecord::Ptes { .. })
+        {
+            // Teeth mutation: the epoch's first PTE-swap intent vanishes
+            // (its sequence number is spent, so exactly one record is
+            // lost).
+            self.wal.epoch_dropped = true;
+            self.wal.stats.intents_dropped += 1;
+            return Cycles::ZERO;
+        }
+        let body = encode_intent(log, rec);
+        let bytes = intent_bytes(&body);
         let tear = may_crash && self.crash_fire(CrashPoint::MidLogAppend);
-        self.wal.append(epoch, seq, &WalPayload::Intent(op), tear);
-        if tear {
-            return Err(CrashPoint::MidLogAppend);
-        }
-        Ok(self.bandwidth.copy_cycles(&self.machine, bytes))
-    }
-
-    /// Apply the idempotent undo of one WAL op: install the recorded
-    /// pre-images. Used by recovery (after a reboot) — functional vmem
-    /// path, no fault injection, no TLB consults, no re-journaling.
-    /// Returns `(cycles, pages rewritten)`.
-    pub fn wal_undo_op(
-        &mut self,
-        space: &mut AddressSpace,
-        op: &WalOp,
-    ) -> Result<(Cycles, u64), VmError> {
-        let costs = self.machine.costs;
-        let mut t = Cycles::ZERO;
-        match op {
-            WalOp::PteSwap { a, b, pre } => {
-                for (i, &(ra, rb)) in pre.iter().enumerate() {
-                    let i = i as u64;
-                    space.page_table_mut().write_pte_raw(a.add_pages(i), ra)?;
-                    space.page_table_mut().write_pte_raw(b.add_pages(i), rb)?;
-                    t += Cycles(2 * costs.pte_swap);
-                }
-            }
-            WalOp::Bytes { at, pre } => {
-                self.vmem.write_bytes(space, *at, pre)?;
-                t += self.bandwidth.copy_cycles(&self.machine, pre.len() as u64);
-            }
-            WalOp::Word { at, pre } => {
-                self.vmem.write_u64(space, *at, *pre)?;
-                t += Cycles(costs.mem_access);
-            }
-        }
-        Ok((t, op.pages()))
+        self.wal.append(epoch, seq, KIND_INTENT, body, tear);
+        self.bandwidth.copy_cycles(&self.machine, bytes)
     }
 }
 
@@ -769,12 +648,49 @@ impl Kernel {
 mod tests {
     use super::*;
 
+    /// A one-record log holding a PTE-swap pre-image (`pre` interleaves
+    /// the raw PTEs at `a + i` and `b + i`).
+    fn ptes(a: u64, b: u64, pre: &[u64]) -> UndoLog {
+        UndoLog {
+            records: vec![UndoRecord::Ptes {
+                a: VirtAddr(a),
+                b: VirtAddr(b),
+                saved: 0..pre.len(),
+            }],
+            words: pre.to_vec(),
+            ..UndoLog::default()
+        }
+    }
+
+    fn bytes(at: u64, pre: Vec<u8>) -> UndoLog {
+        UndoLog {
+            records: vec![UndoRecord::Bytes {
+                at: VirtAddr(at),
+                saved: 0..pre.len(),
+            }],
+            bytes: pre,
+            ..UndoLog::default()
+        }
+    }
+
+    fn word(at: u64, old: u64) -> UndoLog {
+        UndoLog {
+            records: vec![UndoRecord::Word { at: VirtAddr(at), old }],
+            ..UndoLog::default()
+        }
+    }
+
+    /// `log`'s one record as a WAL intent payload.
+    fn intent(log: &UndoLog) -> WalPayload {
+        WalPayload::Intent(encode_intent(log, &log.records[0]))
+    }
+
     fn roundtrip(p: WalPayload) {
         let mut log = WriteAheadLog {
             enabled: true,
             ..WriteAheadLog::default()
         };
-        log.append(7, 3, &p, false);
+        log.append_payload(7, 3, &p, false);
         let scan = log.scan();
         assert!(!scan.torn_tail);
         assert_eq!(scan.records.len(), 1);
@@ -788,19 +704,25 @@ mod tests {
         roundtrip(WalPayload::CycleBegin {
             meta: vec![1, 2, 3, u64::MAX],
         });
-        roundtrip(WalPayload::Intent(WalOp::PteSwap {
-            a: VirtAddr(0x1000),
-            b: VirtAddr(0x9000),
-            pre: vec![(0xAA, 0xBB), (0xCC, 0xDD)],
-        }));
-        roundtrip(WalPayload::Intent(WalOp::Bytes {
-            at: VirtAddr(0x2000),
-            pre: (0..100u8).collect(), // deliberately not word-aligned
-        }));
-        roundtrip(WalPayload::Intent(WalOp::Word {
-            at: VirtAddr(0x3008),
-            pre: 0xDEAD_BEEF,
-        }));
+        // Deliberately not word-aligned.
+        let intents = [
+            ptes(0x1000, 0x9000, &[0xAA, 0xBB, 0xCC, 0xDD]),
+            bytes(0x2000, (0..100u8).collect()),
+            word(0x3008, 0xDEAD_BEEF),
+        ];
+        for log in &intents {
+            roundtrip(intent(log));
+        }
+        // The bodies decode back into one log holding all three records.
+        let mut merged = UndoLog::default();
+        for log in &intents {
+            let WalPayload::Intent(body) = intent(log) else { unreachable!() };
+            assert!(merged.push_intent(&body));
+        }
+        assert_eq!(merged.records.len(), 3);
+        for (rec, log) in merged.records.iter().zip(&intents) {
+            assert_eq!(encode_intent(&merged, rec), encode_intent(log, &log.records[0]));
+        }
         roundtrip(WalPayload::Commit { meta: Vec::new() });
         roundtrip(WalPayload::CycleAborted);
         roundtrip(WalPayload::Recovered { outcome: 2 });
@@ -813,67 +735,47 @@ mod tests {
         // The mutation flips a pre-image bit but reframes with a valid
         // frame checksum: the scan must decode the record (no torn tail)
         // and surface it as BadIntent via the op-level checksum.
-        for op in [
-            WalOp::Word {
-                at: VirtAddr(0x1000),
-                pre: 0xFEED,
-            },
-            WalOp::Bytes {
-                at: VirtAddr(0x2000),
-                pre: vec![7; 100],
-            },
-        ] {
+        for op in [word(0x1000, 0xFEED), bytes(0x2000, vec![7; 100])] {
             let mut log = WriteAheadLog {
                 enabled: true,
                 mutation: Some(WalMutation::CorruptPreimage),
                 ..WriteAheadLog::default()
             };
-            log.append(1, 1, &WalPayload::Intent(op), false);
+            log.append_payload(1, 1, &intent(&op), false);
             assert_eq!(log.stats().preimages_corrupted, 1);
             let scan = log.scan();
             assert!(!scan.torn_tail, "frame checksum must still validate");
             assert_eq!(scan.records.len(), 1);
             assert_eq!(scan.records[0].payload, WalPayload::BadIntent);
         }
-        // PteSwap intents are not covered by the mutation (no op checksum).
+        // PTE-swap intents are not covered by the mutation (no op checksum).
         let mut log = WriteAheadLog {
             enabled: true,
             mutation: Some(WalMutation::CorruptPreimage),
             ..WriteAheadLog::default()
         };
-        log.append(
-            1,
-            1,
-            &WalPayload::Intent(WalOp::PteSwap {
-                a: VirtAddr(0x1000),
-                b: VirtAddr(0x2000),
-                pre: vec![(1, 2)],
-            }),
-            false,
-        );
+        let swap = ptes(0x1000, 0x2000, &[1, 2]);
+        log.append_payload(1, 1, &intent(&swap), false);
         assert_eq!(log.stats().preimages_corrupted, 0);
-        assert!(matches!(
-            log.scan().records[0].payload,
-            WalPayload::Intent(WalOp::PteSwap { .. })
-        ));
+        assert_eq!(log.scan().records[0].payload, intent(&swap));
     }
 
     #[test]
     fn encoded_bytes_excludes_the_preimage_checksum_word() {
         // Cost charges must not move with the S2 checksum word: Word
         // encodes to 4 words but charges for 3 + framing.
-        let w = WalOp::Word {
-            at: VirtAddr(0x1000),
-            pre: 9,
-        };
-        assert_eq!(w.encode().len(), 4);
-        assert_eq!(w.encoded_bytes(), (3 + FRAME_WORDS) as u64 * WORD_BYTES);
-        let b = WalOp::Bytes {
-            at: VirtAddr(0x2000),
-            pre: vec![1; 64],
-        };
-        assert_eq!(b.encode().len(), 3 + 8 + 1);
-        assert_eq!(b.encoded_bytes(), (3 + 8 + FRAME_WORDS) as u64 * WORD_BYTES);
+        let w = word(0x1000, 9);
+        let body = encode_intent(&w, &w.records[0]);
+        assert_eq!(body.len(), 4);
+        assert_eq!(intent_bytes(&body), (3 + FRAME_WORDS) as u64 * WORD_BYTES);
+        let b = bytes(0x2000, vec![1; 64]);
+        let body = encode_intent(&b, &b.records[0]);
+        assert_eq!(body.len(), 3 + 8 + 1);
+        assert_eq!(intent_bytes(&body), (3 + 8 + FRAME_WORDS) as u64 * WORD_BYTES);
+        // PTE-swap intents carry no checksum word: all of it is charged.
+        let p = ptes(0x1000, 0x2000, &[1, 2, 3, 4]);
+        let body = encode_intent(&p, &p.records[0]);
+        assert_eq!(intent_bytes(&body), (4 + 4 + FRAME_WORDS) as u64 * WORD_BYTES);
     }
 
     #[test]
@@ -922,24 +824,18 @@ mod tests {
             enabled: true,
             ..WriteAheadLog::default()
         };
-        log.append(1, 0, &WalPayload::CycleBegin { meta: vec![9] }, false);
-        log.append(
+        log.append_payload(1, 0, &WalPayload::CycleBegin { meta: vec![9] }, false);
+        log.append_payload(
             1,
             1,
-            &WalPayload::Intent(WalOp::Word {
-                at: VirtAddr(0x1000),
-                pre: 5,
-            }),
+            &intent(&word(0x1000, 5)),
             false,
         );
         // Crash mid-append of the third record.
-        log.append(
+        log.append_payload(
             1,
             2,
-            &WalPayload::Intent(WalOp::Bytes {
-                at: VirtAddr(0x2000),
-                pre: vec![1; 64],
-            }),
+            &intent(&bytes(0x2000, vec![1; 64])),
             true,
         );
         let scan = log.scan();
@@ -954,7 +850,7 @@ mod tests {
             enabled: true,
             ..WriteAheadLog::default()
         };
-        log.append(1, 0, &WalPayload::CycleAborted, false);
+        log.append_payload(1, 0, &WalPayload::CycleAborted, false);
         let last = log.words.len() - 1;
         log.words[last] ^= 1;
         let scan = log.scan();
@@ -964,7 +860,7 @@ mod tests {
 
     #[test]
     fn empty_log_scans_clean() {
-        let log = WriteAheadLog::new();
+        let log = WriteAheadLog::default();
         let scan = log.scan();
         assert!(!scan.torn_tail);
         assert!(scan.records.is_empty());

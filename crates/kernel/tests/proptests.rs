@@ -1,18 +1,19 @@
 //! Property tests of SwapVA: content exchange for arbitrary disjoint
 //! ranges, move semantics for arbitrary overlaps, aggregation equivalence,
 //! and memmove correctness under arbitrary overlap.
+//!
+//! Offline std-only: every property draws its inputs from the
+//! deterministic `SimRng` (splitmix64), one seeded stream per property,
+//! so every failure reproduces from the printed case number.
 
-
-#![cfg(feature = "proptest-tests")]
-// Gated off by default: `proptest` is unavailable in the offline build.
-// Restore the dev-dependency and run with `--features proptest-tests`.
-
-use proptest::prelude::*;
 use svagc_kernel::{CoreId, Kernel, SwapRequest, SwapVaOptions};
-use svagc_metrics::MachineConfig;
+use svagc_metrics::{MachineConfig, SimRng};
 use svagc_vmem::{AddressSpace, Asid, VirtAddr};
 
 const CORE: CoreId = CoreId(0);
+
+/// Cases drawn per property.
+const CASES: u64 = 64;
 
 fn setup(frames: u32) -> (Kernel, AddressSpace) {
     (
@@ -27,12 +28,20 @@ fn stamp_pages(k: &mut Kernel, s: &AddressSpace, base: VirtAddr, pages: u64, tag
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Run `property` on [`CASES`] cases, each with its own rng drawn from
+/// the property's seed.
+fn for_cases(seed: u64, mut property: impl FnMut(u64, &mut SimRng)) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    for case in 0..CASES {
+        property(case, &mut rng);
+    }
+}
 
-    /// Disjoint swap exchanges page contents exactly, for any size.
-    #[test]
-    fn disjoint_swap_exchanges(pages in 1u64..50) {
+/// Disjoint swap exchanges page contents exactly, for any size.
+#[test]
+fn disjoint_swap_exchanges() {
+    for_cases(0xD15_0001, |case, rng| {
+        let pages = rng.gen_range(1..50u64);
         let (mut k, mut s) = setup(2 * 50 + 8);
         let a = k.vmem.alloc_region(&mut s, pages).unwrap();
         let b = k.vmem.alloc_region(&mut s, pages).unwrap();
@@ -41,30 +50,35 @@ proptest! {
         let req = SwapRequest { a, b, pages };
         k.swap_va(&mut s, CORE, req, SwapVaOptions::naive()).unwrap();
         for i in 0..pages {
-            prop_assert_eq!(k.vmem.read_u64(&s, a.add_pages(i)).unwrap(), 9_000 + i);
-            prop_assert_eq!(k.vmem.read_u64(&s, b.add_pages(i)).unwrap(), 1_000 + i);
+            assert_eq!(k.vmem.read_u64(&s, a.add_pages(i)).unwrap(), 9_000 + i, "case {case}");
+            assert_eq!(k.vmem.read_u64(&s, b.add_pages(i)).unwrap(), 1_000 + i, "case {case}");
         }
-        prop_assert_eq!(k.perf.bytes_copied, 0);
-    }
+        assert_eq!(k.perf.bytes_copied, 0, "case {case}");
+    });
+}
 
-    /// Overlap rotation: for any (n, delta) with 0 < delta < n, the lower
-    /// range receives exactly the old upper range, and the window remains
-    /// a permutation of its original frames.
-    #[test]
-    fn overlap_rotation_moves(n in 2u64..48, delta_frac in 0.01f64..0.99) {
+/// Overlap rotation: for any (n, delta) with 0 < delta < n, the lower
+/// range receives exactly the old upper range, and the window remains
+/// a permutation of its original frames.
+#[test]
+fn overlap_rotation_moves() {
+    for_cases(0x0E1_0002, |case, rng| {
+        let n = rng.gen_range(2..48u64);
+        let delta_frac = rng.gen_range(0.01..0.99f64);
         let delta = ((n as f64 * delta_frac) as u64).clamp(1, n - 1);
         let window = n + delta;
         let (mut k, mut s) = setup((window + 8) as u32);
         let base = k.vmem.alloc_region(&mut s, window).unwrap();
         stamp_pages(&mut k, &s, base, window, 500);
         let req = SwapRequest { a: base, b: base.add_pages(delta), pages: n };
-        prop_assert!(req.overlaps());
+        assert!(req.overlaps(), "case {case}");
         k.swap_va(&mut s, CORE, req, SwapVaOptions::naive()).unwrap();
         // Move semantics: lower n pages = old upper n pages.
         for i in 0..n {
-            prop_assert_eq!(
+            assert_eq!(
                 k.vmem.read_u64(&s, base.add_pages(i)).unwrap(),
-                500 + delta + i
+                500 + delta + i,
+                "case {case}: n={n}, delta={delta}"
             );
         }
         // Permutation: all original stamps present exactly once.
@@ -73,17 +87,20 @@ proptest! {
             .collect();
         seen.sort_unstable();
         let expect: Vec<u64> = (0..window).map(|i| 500 + i).collect();
-        prop_assert_eq!(seen, expect);
+        assert_eq!(seen, expect, "case {case}");
         // O(n + delta) PTE writes.
-        prop_assert_eq!(k.perf.pte_swaps, window);
-    }
+        assert_eq!(k.perf.pte_swaps, window, "case {case}");
+    });
+}
 
-    /// A batch call is functionally identical to issuing its requests one
-    /// by one (and cheaper).
-    #[test]
-    fn aggregation_equivalence(
-        sizes in proptest::collection::vec(1u64..6, 1..12),
-    ) {
+/// A batch call is functionally identical to issuing its requests one
+/// by one (and cheaper).
+#[test]
+fn aggregation_equivalence() {
+    for_cases(0xA66_0003, |case, rng| {
+        let sizes: Vec<u64> = (0..rng.gen_range(1..12usize))
+            .map(|_| rng.gen_range(1..6u64))
+            .collect();
         let total: u64 = sizes.iter().sum();
         let (mut k1, mut s1) = setup((2 * total + 8) as u32);
         let (mut k2, mut s2) = setup((2 * total + 8) as u32);
@@ -94,7 +111,7 @@ proptest! {
             let b1 = k1.vmem.alloc_region(&mut s1, pages).unwrap();
             let a2 = k2.vmem.alloc_region(&mut s2, pages).unwrap();
             let b2 = k2.vmem.alloc_region(&mut s2, pages).unwrap();
-            prop_assert_eq!(a1, a2);
+            assert_eq!(a1, a2, "case {case}");
             stamp_pages(&mut k1, &s1, a1, pages, idx as u64 * 100);
             stamp_pages(&mut k2, &s2, a2, pages, idx as u64 * 100);
             reqs1.push(SwapRequest { a: a1, b: b1, pages });
@@ -111,24 +128,25 @@ proptest! {
             for i in 0..r.pages {
                 let v1 = k1.vmem.read_u64(&s1, r.b.add_pages(i)).unwrap();
                 let v2 = k2.vmem.read_u64(&s2, reqs2[idx].b.add_pages(i)).unwrap();
-                prop_assert_eq!(v1, v2);
+                assert_eq!(v1, v2, "case {case}");
             }
         }
         // Aggregation saves (n-1) syscall entries.
         let saved = separated.get() as i64 - aggregated.get() as i64;
         let expected = (reqs1.len() as i64 - 1)
             * (k1.machine.costs.syscall_entry_exit + k1.machine.costs.tlb_flush_local) as i64;
-        prop_assert_eq!(saved, expected);
-    }
+        assert_eq!(saved, expected, "case {case}: sizes {sizes:?}");
+    });
+}
 
-    /// memmove is byte-exact for any length and any (possibly
-    /// overlapping) src/dst offsets.
-    #[test]
-    fn memmove_byte_exact(
-        len in 1u64..20_000,
-        src_off in 0u64..8_000,
-        dst_off in 0u64..8_000,
-    ) {
+/// memmove is byte-exact for any length and any (possibly
+/// overlapping) src/dst offsets.
+#[test]
+fn memmove_byte_exact() {
+    for_cases(0x3E3_0004, |case, rng| {
+        let len = rng.gen_range(1..20_000u64);
+        let src_off = rng.gen_range(0..8_000u64);
+        let dst_off = rng.gen_range(0..8_000u64);
         let (mut k, mut s) = setup(64);
         let region = k.vmem.alloc_region(&mut s, 8).unwrap();
         let len = len.min(8 * 4096 - src_off.max(dst_off));
@@ -137,13 +155,16 @@ proptest! {
         k.memmove(&s, CORE, region + src_off, region + dst_off, len).unwrap();
         let mut out = vec![0u8; len as usize];
         k.vmem.read_bytes(&s, region + dst_off, &mut out).unwrap();
-        prop_assert_eq!(out, data);
-    }
+        assert_eq!(out, data, "case {case}: len={len}, src={src_off}, dst={dst_off}");
+    });
+}
 
-    /// Disjoint swap is an involution (overlap is a *move*, so this law
-    /// applies only to disjoint pairs).
-    #[test]
-    fn disjoint_swap_is_involutive(pages in 1u64..30) {
+/// Disjoint swap is an involution (overlap is a *move*, so this law
+/// applies only to disjoint pairs).
+#[test]
+fn disjoint_swap_is_involutive() {
+    for_cases(0x1E0_0005, |case, rng| {
+        let pages = rng.gen_range(1..30u64);
         let (mut k, mut s) = setup(2 * 30 + 8);
         let a = k.vmem.alloc_region(&mut s, pages).unwrap();
         let b = k.vmem.alloc_region(&mut s, pages).unwrap();
@@ -153,17 +174,16 @@ proptest! {
         k.swap_va(&mut s, CORE, req, SwapVaOptions::pinned()).unwrap();
         k.swap_va(&mut s, CORE, req, SwapVaOptions::pinned()).unwrap();
         for i in 0..pages {
-            prop_assert_eq!(k.vmem.read_u64(&s, a.add_pages(i)).unwrap(), 111 + i);
-            prop_assert_eq!(k.vmem.read_u64(&s, b.add_pages(i)).unwrap(), 777 + i);
+            assert_eq!(k.vmem.read_u64(&s, a.add_pages(i)).unwrap(), 111 + i, "case {case}");
+            assert_eq!(k.vmem.read_u64(&s, b.add_pages(i)).unwrap(), 777 + i, "case {case}");
         }
-    }
+    });
 }
 
 /// Deterministic edge cases that random sampling is unlikely to hit.
-#[cfg(test)]
 mod edges {
     use super::*;
-    use svagc_vmem::{PteFlags, Pte, FrameId};
+    use svagc_vmem::{FrameId, Pte, PteFlags};
 
     /// Ranges in different PGD subtrees (512 GiB apart): the walk crosses
     /// every table level and the PMD caches never help across operands.
