@@ -65,11 +65,6 @@ pub fn banner(id: &str, caption: &str) {
     println!("\n=== {id}: {caption} ===");
 }
 
-/// Emit one JSON record (prefixed so it greps cleanly out of mixed logs).
-pub fn json_line<T: ToJson + ?Sized>(tag: &str, value: &T) {
-    println!("@json {tag} {}", value.to_json());
-}
-
 /// Version tag of the per-experiment BENCH JSON layout.
 pub const BENCH_REPORT_SCHEMA: &str = "svagc-bench-report-v1";
 

@@ -76,6 +76,66 @@ struct Marking {
     concurrent_cycles: Cycles,
 }
 
+impl Marking {
+    /// Initial mark: snapshot the roots and the allocation watermark,
+    /// charging [`INIT_MARK_ROOT_COST`] per live root slot.
+    fn snapshot(heap: &Heap, roots: &RootSet) -> Marking {
+        let mut m = Marking {
+            bitmap: MarkBitmap::new(heap.base(), heap.extent_words()),
+            snapshot_top: heap.top(),
+            gray: Vec::new(),
+            init_pause: Cycles::ZERO,
+            concurrent_cycles: Cycles::ZERO,
+        };
+        let slots = m.shade_roots(heap, roots);
+        m.init_pause = INIT_MARK_ROOT_COST * slots.max(1);
+        m
+    }
+
+    /// Mark `obj` and push it gray if it is an unmarked heap object.
+    fn shade(&mut self, heap: &Heap, obj: ObjRef) {
+        if !obj.is_null() && heap.contains(obj.0) && self.bitmap.mark(obj.header_va()) {
+            self.gray.push(obj);
+        }
+    }
+
+    /// Shade every live root; returns the number of root slots scanned.
+    fn shade_roots(&mut self, heap: &Heap, roots: &RootSet) -> u64 {
+        let mut slots = 0u64;
+        for r in roots.iter_live() {
+            slots += 1;
+            self.shade(heap, r);
+        }
+        slots
+    }
+
+    /// Scan up to `budget` gray objects (header plus every ref field),
+    /// shading each target. Returns the heap-read cycles spent; the
+    /// caller decides whether they land in the pause or off it.
+    fn scan(
+        &mut self,
+        kernel: &mut Kernel,
+        core: CoreId,
+        heap: &Heap,
+        budget: usize,
+    ) -> Result<Cycles, HeapError> {
+        let mut t = Cycles::ZERO;
+        for _ in 0..budget {
+            let Some(obj) = self.gray.pop() else {
+                break;
+            };
+            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
+            t += ht;
+            for i in 0..hdr.num_refs as u64 {
+                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
+                t += tc;
+                self.shade(heap, tgt);
+            }
+        }
+        Ok(t)
+    }
+}
+
 /// The SATB concurrent-marking wrapper around [`Lisp2Collector`].
 #[derive(Debug)]
 pub struct ConcurrentCollector {
@@ -142,22 +202,7 @@ impl ConcurrentCollector {
         }
         // Entries logged before this snapshot belong to no cycle.
         self.satb.drain();
-        let mut bitmap = MarkBitmap::new(heap.base(), heap.extent_words());
-        let mut gray = Vec::new();
-        let mut slots = 0u64;
-        for r in roots.iter_live() {
-            slots += 1;
-            if heap.contains(r.0) && bitmap.mark(r.header_va()) {
-                gray.push(r);
-            }
-        }
-        self.marking = Some(Marking {
-            bitmap,
-            snapshot_top: heap.top(),
-            gray,
-            init_pause: INIT_MARK_ROOT_COST * slots.max(1),
-            concurrent_cycles: Cycles::ZERO,
-        });
+        self.marking = Some(Marking::snapshot(heap, roots));
         true
     }
 
@@ -175,21 +220,7 @@ impl ConcurrentCollector {
         let Some(m) = self.marking.as_mut() else {
             return Ok(true);
         };
-        let mut t = Cycles::ZERO;
-        for _ in 0..max_objects {
-            let Some(obj) = m.gray.pop() else {
-                break;
-            };
-            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-            t += ht;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                t += tc;
-                if !tgt.is_null() && heap.contains(tgt.0) && m.bitmap.mark(tgt.header_va()) {
-                    m.gray.push(tgt);
-                }
-            }
-        }
+        let t = m.scan(kernel, core, heap, max_objects)?;
         m.concurrent_cycles += t;
         Ok(m.gray.is_empty())
     }
@@ -208,36 +239,19 @@ impl ConcurrentCollector {
     ) -> Result<Premark, HeapError> {
         let core = self.trace_core(kernel);
         let mut m = self.marking.take().expect("finish_mark requires an in-flight mark");
-        let mut drain = Cycles::ZERO;
 
         // SATB drain: every overwritten reference is a mark root.
         let entries = self.satb.drain();
         let satb_logged = entries.len() as u64;
-        drain += SATB_DRAIN_ENTRY_COST * satb_logged;
+        let mut drain = SATB_DRAIN_ENTRY_COST * satb_logged;
         for old in entries {
-            if !old.is_null() && heap.contains(old.0) && m.bitmap.mark(old.header_va()) {
-                m.gray.push(old);
-            }
+            m.shade(heap, old);
         }
         // Root re-scan: stores into root slots during the mark may
         // reference objects whose in-heap edges were never traced.
-        for r in roots.iter_live() {
-            if heap.contains(r.0) && m.bitmap.mark(r.header_va()) {
-                m.gray.push(r);
-            }
-        }
+        m.shade_roots(heap, roots);
         // Complete the trace from everything gray.
-        while let Some(obj) = m.gray.pop() {
-            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-            drain += ht;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                drain += tc;
-                if !tgt.is_null() && heap.contains(tgt.0) && m.bitmap.mark(tgt.header_va()) {
-                    m.gray.push(tgt);
-                }
-            }
-        }
+        drain += m.scan(kernel, core, heap, usize::MAX)?;
         // Allocation watermark: objects born after the snapshot are live
         // this cycle regardless of reachability. Their fields only ever
         // held references the mutator obtained from the snapshot graph
@@ -270,28 +284,8 @@ impl ConcurrentCollector {
         roots: &RootSet,
     ) -> Result<Premark, HeapError> {
         let core = self.trace_core(kernel);
-        let mut bitmap = MarkBitmap::new(heap.base(), heap.extent_words());
-        let mut gray = Vec::new();
-        let mut slots = 0u64;
-        for r in roots.iter_live() {
-            slots += 1;
-            if heap.contains(r.0) && bitmap.mark(r.header_va()) {
-                gray.push(r);
-            }
-        }
-        let init_pause = INIT_MARK_ROOT_COST * slots.max(1);
-        let mut concurrent = Cycles::ZERO;
-        while let Some(obj) = gray.pop() {
-            let (hdr, ht) = heap.read_header(kernel, core, obj)?;
-            concurrent += ht;
-            for i in 0..hdr.num_refs as u64 {
-                let (tgt, tc) = heap.read_ref(kernel, core, obj, i)?;
-                concurrent += tc;
-                if !tgt.is_null() && heap.contains(tgt.0) && bitmap.mark(tgt.header_va()) {
-                    gray.push(tgt);
-                }
-            }
-        }
+        let mut m = Marking::snapshot(heap, roots);
+        let concurrent = m.scan(kernel, core, heap, usize::MAX)?;
         // Drain the window's deletion-barrier log. The trace above is
         // already complete over the current heap, so every snapshot-live
         // entry is marked; the drain is the final-mark pause's visit cost,
@@ -300,8 +294,8 @@ impl ConcurrentCollector {
         let entries = self.satb.drain();
         let satb_logged = entries.len() as u64;
         Ok(Premark {
-            bitmap,
-            stw_mark: init_pause + SATB_DRAIN_ENTRY_COST * satb_logged,
+            bitmap: m.bitmap,
+            stw_mark: m.init_pause + SATB_DRAIN_ENTRY_COST * satb_logged,
             concurrent_mark: concurrent,
             satb_logged,
         })

@@ -400,7 +400,6 @@ fn packets_without_stealing_record_zero_steals() {
     }
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn packets_serial_compaction_runs_every_batch_on_worker_0() {
     use svagc_core::PacketKind;

@@ -178,11 +178,6 @@ impl Kernel {
         self.tlb_oracle.set_enabled(on);
     }
 
-    /// Is the stale-translation oracle recording?
-    pub fn tlb_oracle_enabled(&self) -> bool {
-        self.tlb_oracle.is_enabled()
-    }
-
     /// Snapshot of the oracle's counters.
     pub fn tlb_oracle_stats(&self) -> OracleStats {
         self.tlb_oracle.stats()
@@ -394,11 +389,6 @@ impl Kernel {
                 ],
             );
         }
-    }
-
-    /// Access a core's TLB stats: `(lookups, misses)`.
-    pub fn tlb_stats(&self, core: CoreId) -> (u64, u64) {
-        self.tlbs[core.0].stats()
     }
 
     /// Direct TLB access for the shootdown module.

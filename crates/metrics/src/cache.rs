@@ -223,11 +223,6 @@ impl CacheHierarchy {
         self.accesses
     }
 
-    /// Per-level `(hits, misses)`: `[l1, l2, llc]`.
-    pub fn level_stats(&self) -> [(u64, u64); 3] {
-        [self.l1.stats(), self.l2.stats(), self.llc.stats()]
-    }
-
     /// Invalidate all levels.
     pub fn flush(&mut self) {
         self.l1.flush();

@@ -35,26 +35,6 @@ pub enum CollectorKind {
 }
 
 impl CollectorKind {
-    /// Instantiate the collector.
-    pub fn build(&self, gc_threads: usize) -> Box<dyn Collector> {
-        self.build_verified(gc_threads, false)
-    }
-
-    /// Instantiate the collector, optionally with post-phase heap
-    /// verification (LISP2-based collectors only; the baseline wrappers
-    /// keep their own fixed configurations).
-    pub fn build_verified(&self, gc_threads: usize, verify_phases: bool) -> Box<dyn Collector> {
-        self.build_configured(
-            gc_threads,
-            verify_phases,
-            None,
-            DegradePolicy::off(),
-            None,
-            SchedulerKind::Barrier,
-            0,
-        )
-    }
-
     /// The resolved LISP2 configuration of this kind, or `None` for the
     /// baseline wrappers (which keep their own fixed configurations and
     /// ignore the transactional knobs).
@@ -260,9 +240,8 @@ pub struct RunConfig {
     /// Degraded-mode circuit-breaker policy applied after aborted cycles
     /// (default off — aborts propagate as errors).
     pub degrade: DegradePolicy,
-    /// Record cycle-accurate trace events (requires the `trace` feature;
-    /// a no-op sink otherwise). Off by default — the disabled tracer is a
-    /// branch on a `None`.
+    /// Record cycle-accurate trace events. Off by default — the disabled
+    /// tracer is a branch on a `None`.
     pub trace: bool,
     /// Run under the stale-translation oracle: every TLB hit is
     /// cross-checked against the live page table and every kernel flush
@@ -410,28 +389,9 @@ impl RunConfig {
         self
     }
 
-    /// Draw frames from a shared fleet pool (the tenant id is this run's
-    /// ASID).
-    pub fn with_frame_pool(mut self, pool: FramePool) -> RunConfig {
-        self.frame_pool = Some(pool);
-        self
-    }
-
-    /// Quota/headroom for self-registration with the frame pool.
-    pub fn with_tenant_quota(mut self, quota: u32, headroom: u32) -> RunConfig {
-        self.tenant_quota = Some((quota, headroom));
-        self
-    }
-
     /// Arm the pressure-escalation ladder.
     pub fn with_pressure(mut self, on: bool) -> RunConfig {
         self.pressure = on;
-        self
-    }
-
-    /// Set the WAL epoch namespace.
-    pub fn with_wal_namespace(mut self, ns: u16) -> RunConfig {
-        self.wal_namespace = ns;
         self
     }
 
@@ -490,12 +450,6 @@ impl RunConfig {
         self
     }
 
-    /// Arm the write-ahead journal (crash plans arm it implicitly).
-    pub fn with_wal(mut self, on: bool) -> RunConfig {
-        self.wal = on;
-        self
-    }
-
     /// Install seeded crash points (implies the write-ahead journal).
     pub fn with_crash_plans(mut self, plans: Vec<CrashPlan>) -> RunConfig {
         self.crash_plans = plans;
@@ -544,7 +498,7 @@ pub struct RunResult {
     /// the chaos suite compares faulty runs against fault-free ones.
     pub heap_hash: u64,
     /// Trace events recorded during the run (empty unless
-    /// [`RunConfig::trace`] was set and the `trace` feature is on).
+    /// [`RunConfig::trace`] was set).
     pub trace: Vec<TraceEvent>,
     /// Stale-translation oracle counters (all zero when the oracle was
     /// off; a run with violations fails before producing a result, so a

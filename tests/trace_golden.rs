@@ -2,11 +2,6 @@
 //! full benchmark run, structural validity of the JSON, agreement between
 //! the unified counter registry and the kernel's perf counters, and the
 //! zero-divergence guarantee of the disabled tracer.
-//!
-//! Everything here runs on the default feature set (tracing compiled in);
-//! the `--no-default-features` build compiles these tests out along with
-//! the sink itself.
-#![cfg(feature = "trace")]
 
 use svagc::metrics::{chrome_trace_json, trace_summary, TraceKind};
 use svagc::workloads::driver::{run, CollectorKind, RunConfig, RunResult};
