@@ -171,13 +171,12 @@ impl Kernel {
         }
     }
 
-    /// Keep `log`'s arenas as the next cycle's if they beat the spare's,
-    /// up to a cap so one giant cycle cannot pin its peak forever.
+    /// Keep `log`'s arenas as the next cycle's if they beat the spare's.
+    /// There is no cap: the kernel dies with its run, and every cycle
+    /// that grew the log to its peak would re-grow (and re-fault) it.
     fn journal_stash_spare(&mut self, mut log: UndoLog) {
-        const SPARE_CAP: usize = 16 << 20;
         log.clear();
-        let footprint = log.footprint();
-        if footprint <= SPARE_CAP && footprint > self.journal_spare.footprint() {
+        if log.footprint() > self.journal_spare.footprint() {
             self.journal_spare = log;
         }
     }
@@ -474,6 +473,24 @@ mod tests {
         k.journal_begin();
         assert!(k.journal_take().is_some());
         assert!(k.journal_take().is_none(), "take stops journaling");
+    }
+
+    #[test]
+    fn a_retired_log_of_any_size_is_reused() {
+        // A log the size a large heap's memmove cycle journals (over
+        // 16 MiB) must hand its arenas to the next cycle, not be freed.
+        let (mut k, _) = setup(16);
+        k.journal_begin();
+        let log = k.journal.as_mut().unwrap();
+        log.bytes.reserve(17 << 20);
+        log.words.reserve(1 << 20);
+        let (bytes, words) = (log.bytes.as_ptr(), log.words.as_ptr());
+        assert!(log.footprint() > 16 << 20);
+        k.journal_retire();
+        k.journal_begin();
+        let log = k.journal.as_ref().unwrap();
+        assert_eq!((log.bytes.as_ptr(), log.words.as_ptr()), (bytes, words));
+        assert!(log.is_empty() && log.bytes.is_empty());
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl Kernel {
 
     /// A machine with at least `bytes` of simulated DRAM.
     pub fn with_bytes(machine: MachineConfig, bytes: u64) -> Kernel {
-        Kernel::new(machine.clone(), bytes.div_ceil(PAGE_SIZE) as u32)
+        Kernel::new(machine, bytes.div_ceil(PAGE_SIZE) as u32)
     }
 
     /// Share another kernel's bandwidth model (multi-JVM contention).

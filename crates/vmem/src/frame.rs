@@ -7,21 +7,69 @@
 use crate::addr::{FrameId, PhysAddr, PAGE_SIZE};
 use crate::error::VmError;
 use crate::pool::{AllocContext, FrameLease};
+use std::sync::{Mutex, PoisonError};
 
 /// Flat physical memory of `frames * 4096` bytes.
+///
+/// Host memory is recycled, not page-faulted afresh: a dropped pool's
+/// buffer goes to a process-wide spare list and the next [`PhysMem::new`]
+/// that fits reuses it. A dirty watermark keeps both sides cheap — every
+/// byte at or above it is known to be zero, so a recycled buffer is
+/// cleaned by zeroing only its dirty prefix, and [`PhysMem::zero_frame`]
+/// never touches (first-faults) a frame that was never written. Invariant:
+/// a pool reads as zero wherever it has not been written since `new`.
 #[derive(Debug)]
 pub struct PhysMem {
+    /// At least `frames * PAGE_SIZE` bytes (a recycled buffer may be
+    /// longer; bounds checks use the frame count).
     bytes: Vec<u8>,
     frames: u32,
+    /// Every byte of `bytes` at or above this offset is zero.
+    dirty: usize,
+}
+
+/// A dropped pool's buffer and its dirty watermark.
+struct Spare {
+    bytes: Vec<u8>,
+    dirty: usize,
+}
+
+/// Buffers of dropped pools, at most [`svagc_metrics::host_threads`] of
+/// them: the number of runs that can end at once.
+static SPARES: Mutex<Vec<Spare>> = Mutex::new(Vec::new());
+
+fn spares() -> std::sync::MutexGuard<'static, Vec<Spare>> {
+    // A panicking holder cannot leave the list inconsistent (every
+    // critical section is a single push, remove or take).
+    SPARES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl PhysMem {
-    /// Allocate a pool of `frames` zeroed frames.
+    /// A pool of `frames` zeroed frames: the smallest spare buffer that
+    /// fits with its dirty prefix zeroed, else a fresh allocation (after
+    /// freeing the spares, which fit nothing).
     pub fn new(frames: u32) -> PhysMem {
-        PhysMem {
-            bytes: vec![0u8; frames as usize * PAGE_SIZE as usize],
-            frames,
-        }
+        let len = frames as usize * PAGE_SIZE as usize;
+        // Spares that fit nothing are freed outside the lock.
+        let (reused, evicted) = {
+            let mut spares = spares();
+            let fit = (0..spares.len())
+                .filter(|&i| spares[i].bytes.len() >= len)
+                .min_by_key(|&i| spares[i].bytes.len());
+            match fit {
+                Some(i) => (Some(spares.swap_remove(i)), Vec::new()),
+                None => (None, std::mem::take(&mut *spares)),
+            }
+        };
+        drop(evicted);
+        let bytes = match reused {
+            Some(Spare { mut bytes, dirty }) => {
+                bytes[..dirty].fill(0);
+                bytes
+            }
+            None => vec![0u8; len],
+        };
+        PhysMem { bytes, frames, dirty: 0 }
     }
 
     /// Number of frames in the pool.
@@ -33,10 +81,19 @@ impl PhysMem {
     fn check(&self, pa: PhysAddr, len: u64) -> Result<usize, VmError> {
         let start = pa.get();
         let end = start.checked_add(len).ok_or(VmError::BadPhysAddr(pa))?;
-        if end > self.bytes.len() as u64 {
+        if end > self.frames as u64 * PAGE_SIZE {
             return Err(VmError::BadPhysAddr(pa));
         }
         Ok(start as usize)
+    }
+
+    /// [`PhysMem::check`] for a write: also raises the dirty watermark
+    /// past the written range.
+    #[inline]
+    fn check_write(&mut self, pa: PhysAddr, len: u64) -> Result<usize, VmError> {
+        let i = self.check(pa, len)?;
+        self.dirty = self.dirty.max(i + len as usize);
+        Ok(i)
     }
 
     /// Read one 8-byte word (must not straddle the pool end).
@@ -53,7 +110,7 @@ impl PhysMem {
     /// Write one 8-byte word.
     #[inline]
     pub fn write_u64(&mut self, pa: PhysAddr, val: u64) -> Result<(), VmError> {
-        let i = self.check(pa, 8)?;
+        let i = self.check_write(pa, 8)?;
         self.bytes[i..i + 8].copy_from_slice(&val.to_le_bytes());
         Ok(())
     }
@@ -75,7 +132,7 @@ impl PhysMem {
 
     /// Write `buf` at `pa`.
     pub fn write_bytes(&mut self, pa: PhysAddr, buf: &[u8]) -> Result<(), VmError> {
-        let i = self.check(pa, buf.len() as u64)?;
+        let i = self.check_write(pa, buf.len() as u64)?;
         self.bytes[i..i + buf.len()].copy_from_slice(buf);
         Ok(())
     }
@@ -83,15 +140,18 @@ impl PhysMem {
     /// Copy `len` bytes from `src` to `dst` (handles overlap like memmove).
     pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: u64) -> Result<(), VmError> {
         let s = self.check(src, len)?;
-        let d = self.check(dst, len)?;
+        let d = self.check_write(dst, len)?;
         self.bytes.copy_within(s..s + len as usize, d);
         Ok(())
     }
 
-    /// Zero a whole frame.
+    /// Zero a whole frame. A frame above the dirty watermark is already
+    /// zero and is left untouched.
     pub fn zero_frame(&mut self, frame: FrameId) -> Result<(), VmError> {
         let i = self.check(frame.base(), PAGE_SIZE)?;
-        self.bytes[i..i + PAGE_SIZE as usize].fill(0);
+        if i < self.dirty {
+            self.bytes[i..i + PAGE_SIZE as usize].fill(0);
+        }
         Ok(())
     }
 
@@ -99,6 +159,28 @@ impl PhysMem {
     pub fn frame_bytes(&self, frame: FrameId) -> Result<&[u8], VmError> {
         let i = self.check(frame.base(), PAGE_SIZE)?;
         Ok(&self.bytes[i..i + PAGE_SIZE as usize])
+    }
+}
+
+impl Drop for PhysMem {
+    /// Hand the buffer to the spare list, evicting the smallest spare
+    /// once more than [`svagc_metrics::host_threads`] are kept.
+    fn drop(&mut self) {
+        if self.bytes.is_empty() {
+            return;
+        }
+        let spare = Spare { bytes: std::mem::take(&mut self.bytes), dirty: self.dirty };
+        let evicted = {
+            let mut spares = spares();
+            spares.push(spare);
+            (spares.len() > svagc_metrics::host_threads()).then(|| {
+                let smallest = (0..spares.len())
+                    .min_by_key(|&i| spares[i].bytes.len())
+                    .expect("the list holds the spare just pushed");
+                spares.swap_remove(smallest)
+            })
+        };
+        drop(evicted);
     }
 }
 
@@ -395,6 +477,87 @@ mod tests {
         assert_eq!(a.alloc_many(3).unwrap().len(), 3);
         assert_eq!(a.in_use(), 4);
         assert_eq!(a.peak(), 4);
+    }
+
+    /// Dirty `m` through every write path: a word at a scattered offset
+    /// of each frame, a byte run across a frame boundary, a copy into the
+    /// last frame, and the pool's final word.
+    fn scribble(m: &mut PhysMem) {
+        let end = m.frame_count() as u64 * PAGE_SIZE;
+        for f in 0..m.frame_count() as u64 {
+            m.write_u64(PhysAddr(f * PAGE_SIZE + (f * 1096) % (PAGE_SIZE - 8)), !f).unwrap();
+        }
+        m.write_bytes(PhysAddr(PAGE_SIZE / 2 + 3), &[0xAB; 5000]).unwrap();
+        m.copy(PhysAddr(PAGE_SIZE / 2), PhysAddr(end - 3000), 2000).unwrap();
+        m.write_u64(PhysAddr(end - 8), u64::MAX).unwrap();
+    }
+
+    fn assert_zero(m: &PhysMem) {
+        for f in 0..m.frame_count() {
+            let bytes = m.frame_bytes(FrameId(f)).unwrap();
+            assert!(bytes.iter().all(|&b| b == 0), "frame {f} of {} not zero", m.frame_count());
+        }
+    }
+
+    #[test]
+    fn recycled_pools_read_zero() {
+        // Smaller, equal and larger than the dropped pool, built on the
+        // dropping thread and on another one, dirtied on either.
+        for frames in [2, 5, 8, 9, 16] {
+            let mut m = PhysMem::new(8);
+            scribble(&mut m);
+            drop(m);
+            let mut same = PhysMem::new(frames);
+            assert_zero(&same);
+            scribble(&mut same);
+            drop(same);
+            std::thread::spawn(move || {
+                let mut other = PhysMem::new(frames);
+                assert_zero(&other);
+                scribble(&mut other);
+            })
+            .join()
+            .unwrap();
+            assert_zero(&PhysMem::new(frames));
+        }
+    }
+
+    #[test]
+    fn every_write_path_is_zeroed_on_reuse() {
+        // Each path alone dirties the last frame, so a path that failed
+        // to raise the watermark would leave dirty bytes in the reused
+        // buffer. Other tests share the spare list and may take the
+        // buffer first: retry until this thread gets its own back.
+        let paths: [fn(&mut PhysMem); 3] = [
+            |m| m.write_u64(PhysAddr(4 * PAGE_SIZE - 8), !0).unwrap(),
+            |m| m.write_bytes(PhysAddr(3 * PAGE_SIZE + 7), &[0xCD; 100]).unwrap(),
+            |m| {
+                m.write_u64(PhysAddr(0), !0).unwrap();
+                m.copy(PhysAddr(0), PhysAddr(4 * PAGE_SIZE - 16), 16).unwrap();
+            },
+        ];
+        for dirty in paths {
+            let reused = (0..50).any(|_| {
+                let mut m = PhysMem::new(4);
+                dirty(&mut m);
+                let buf = m.frame_bytes(FrameId(0)).unwrap().as_ptr();
+                drop(m);
+                let again = PhysMem::new(4);
+                assert_zero(&again);
+                again.frame_bytes(FrameId(0)).unwrap().as_ptr() == buf
+            });
+            assert!(reused, "a dropped pool's buffer never came back");
+        }
+    }
+
+    #[test]
+    fn zero_frame_above_the_watermark_leaves_a_zero_frame() {
+        let mut m = PhysMem::new(6);
+        m.write_u64(PhysAddr(2 * PAGE_SIZE + 40), 9).unwrap();
+        m.zero_frame(FrameId(4)).unwrap();
+        assert_eq!(m.frame_bytes(FrameId(4)).unwrap(), &[0u8; PAGE_SIZE as usize][..]);
+        m.zero_frame(FrameId(2)).unwrap();
+        assert_zero(&m);
     }
 
     #[test]

@@ -143,6 +143,7 @@ impl Workload for Bisort {
     }
 
     fn setup(&mut self, env: &mut JvmEnv) -> Result<(), GcError> {
+        *self = Self::new(); // a used instance starts over
         self.slots = (0..Self::node_count())
             .map(|_| env.roots.push(ObjRef::NULL))
             .collect();

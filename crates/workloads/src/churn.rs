@@ -204,6 +204,11 @@ impl Workload for ChurnWorkload {
     }
 
     fn setup(&mut self, env: &mut JvmEnv) -> Result<(), GcError> {
+        // A used instance starts over: its roots belong to the old JVM.
+        self.hubs.clear();
+        self.live.clear();
+        self.rng = SimRng::seed_from_u64(self.spec.seed);
+        self.next_seed = 1;
         for i in 0..HUB_COUNT {
             let (rid, _) = env.alloc_stamped(ObjShape::data(4), 0x1100 + i as u64)?;
             self.hubs.push(rid);

@@ -28,6 +28,7 @@ pub struct LruCache {
     max_value_bytes: u64,
     inserts_per_step: usize,
     queue: VecDeque<Entry>,
+    seed: u64,
     rng: SimRng,
     next_seed: u64,
 }
@@ -50,6 +51,7 @@ impl LruCache {
             max_value_bytes,
             inserts_per_step,
             queue: VecDeque::new(),
+            seed,
             rng: SimRng::seed_from_u64(seed),
             next_seed: 1,
         }
@@ -97,6 +99,10 @@ impl Workload for LruCache {
     }
 
     fn setup(&mut self, env: &mut JvmEnv) -> Result<(), GcError> {
+        // A used instance starts over: its roots belong to the old JVM.
+        self.queue.clear();
+        self.rng = SimRng::seed_from_u64(self.seed);
+        self.next_seed = 1;
         for _ in 0..self.capacity {
             self.insert(env)?;
         }

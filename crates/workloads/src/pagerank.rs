@@ -74,6 +74,7 @@ impl Workload for PageRank {
     }
 
     fn setup(&mut self, env: &mut JvmEnv) -> Result<(), GcError> {
+        *self = Self::new(); // a used instance starts over
         for b in 0..Self::block_count() {
             let (rid, obj) = env.alloc_stamped(Self::block_shape(), b * 10_000)?;
             // Fill with random edge targets (real words in simulated

@@ -85,6 +85,7 @@ impl Workload for ParallelSort {
     }
 
     fn setup(&mut self, env: &mut JvmEnv) -> Result<(), GcError> {
+        *self = Self::new(); // a used instance starts over
         self.fresh_epoch(env)
     }
 

@@ -114,3 +114,29 @@ fn runs_are_deterministic() {
     assert_eq!(a.app_cycles, b.app_cycles);
     assert_eq!(a.perf, b.perf);
 }
+
+#[test]
+fn a_used_instance_reruns_identically() {
+    // `setup` on a used instance must start the workload over: a second
+    // run on a fresh JVM matches the first (no stale roots, no continued
+    // RNG stream). One instance of every `Workload` impl.
+    use svagc_workloads::noisy::{noisy_workload, NoisySpec};
+    let mut workloads = vec![
+        suite::by_name("Sparse.large/4").unwrap(),
+        suite::by_name("LRUCache").unwrap(),
+        suite::by_name("Bisort").unwrap(),
+        suite::by_name("PR").unwrap(),
+        suite::by_name("ParallelSort").unwrap(),
+        noisy_workload(&NoisySpec::standard(0.0, 7), 0),
+    ];
+    let mut c = cfg(CollectorKind::Svagc);
+    c.steps = Some(40);
+    for w in &mut workloads {
+        let a = run(w.as_mut(), &c).unwrap();
+        let b = run(w.as_mut(), &c).unwrap();
+        assert!(a.gc.count() >= 1, "{} never collected", a.workload);
+        assert_eq!(a.heap_hash, b.heap_hash, "{}", a.workload);
+        assert_eq!(a.registry(), b.registry(), "{}", a.workload);
+        assert_eq!(a.app_cycles, b.app_cycles, "{}", a.workload);
+    }
+}
