@@ -1,723 +1,9 @@
-//! Command-line driver: run any benchmark under any collector without
-//! writing code.
-//!
-//! ```text
-//! svagc list
-//! svagc run --workload Sigverify --collector svagc --heap-factor 1.2
-//! svagc run --workload Sparse.large --collector parallelgc --steps 40 --instrumented
-//! svagc multi --jvms 8 --collector svagc --gc-threads 4
-//! ```
-
-use svagc_bench::report::{HostInfo, Report};
-use svagc_core::protocol::{self, ModelConfig};
-use svagc_core::{CycleClass, DegradePolicy, DegradedMode, RetryPolicy, SchedulerKind};
-use svagc_kernel::{CrashPlan, FlushMode, WalMutation};
-use svagc_metrics::MachineConfig;
-use svagc_workloads::driver::{run_with_crash, CollectorKind, CrashOutcome, RunConfig};
-use svagc_workloads::lrucache::LruCache;
-use svagc_workloads::multijvm::{run_multi, TenantOutcome};
-use svagc_workloads::noisy::{self, NoisySpec};
-use svagc_workloads::suite;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage:
-  svagc list
-  svagc run --workload <name> [--collector svagc|memmove|parallelgc|shenandoah]
-            [--heap-factor <f>] [--gc-threads <n>] [--steps <n>]
-            [--machine 6130|6240|i5] [--threshold <pages>] [--instrumented]
-            [--fault-rate <p>] [--fault-seed <n>] [--fault-permanent]
-            [--swap-fallback-budget <n>] [--verify-phases]
-            [--gc-deadline-cycles <n>] [--degrade-policy off|standard|standard:N]
-            [--trace <out.json>] [--trace-summary] [--bench-json <out.json>]
-            [--tlb-oracle] [--wal] [--crash-plan <pt[:n],...>]
-            [--wal-mutate skip-commit|drop-intent|corrupt-preimage]
-            [--scheduler barrier|packets] [--core-base <n>] [--concurrent]
-            [--dram-fraction <f>] [--device-fault-rate <p>]
-            [--device-fault-seed <n>] [--device-offline-after <n>]
-  svagc recover ...same flags as run...
-  svagc multi --jvms <n> [--collector ...] [--gc-threads <n>]
-            [--scheduler barrier|packets]
-  svagc fleet [--tenants <n>] [--victims <i,j,...>] [--victim-fault-rate <p>]
-            [--seed <n>] [--steps <n>] [--live-objects <n>]
-            [--quota-fraction <f>] [--max-attempts <n>] [--no-pressure]
-            [--machine 6130|6240|i5]
-  svagc protocol-check [--deep]
-
-  --dram-fraction <f> arm cold-object tiering: keep this fraction of the
-                      heap's pages resident in DRAM and demote the cold
-                      rest to a simulated far-memory device after every
-                      GC cycle. The run ends with a promote-all and the
-                      invisibility oracle (residency and device empty,
-                      heap hash equal to the DRAM-only run's)
-  --device-fault-rate <p>  per-device-request fault probability, split
-                      across transient EIO / latency spikes / torn
-                      writebacks; the retry ladder absorbs them
-  --device-fault-seed <n>  seed of the device fault plan
-  --device-offline-after <n>  kill the far device for good after n
-                      requests: writebacks degrade the run to DRAM-only
-                      mode; a lost fetch exits 16 (device failed)
-  --concurrent        SATB concurrent marking: tracing overlaps mutator
-                      execution (charged as interference, not pause);
-                      only initial mark, the SATB-buffer drain, and
-                      compaction stay in the pause. The compacted heap is
-                      bit-identical to the STW run's. LISP2 collectors
-                      (svagc | memmove) wrap in the concurrent collector;
-                      shenandoah arms its SATB barrier so its final-mark
-                      charge is proportional to logged work; parallelgc
-                      is unchanged
-  --scheduler         bucket policy of the GC schedule engine: barrier
-                      (default; each phase's bucket opens after the
-                      previous one drains, one packet per object) or
-                      packets (buckets overlap: chunked packets run when
-                      their dependencies complete, with deterministic
-                      work stealing, so workers flow across phases)
-  --core-base <n>     first machine core the GC workers pin to (worker w
-                      runs on core (n + w) mod cores; multi-JVM runs set
-                      disjoint bases automatically)
-  --gc-deadline-cycles <n>  per-phase watchdog budget in virtual cycles; a
-                      phase exceeding it aborts the GC cycle and rolls it
-                      back through the compaction journal
-  --degrade-policy    circuit breaker applied after aborted cycles:
-                      off (default; aborts propagate as errors), standard
-                      (normal -> memmove-only -> single-threaded, recover
-                      after 2 clean cycles), or standard:N (probation N)
-  --trace <out.json>  write a Chrome trace_event JSON (chrome://tracing,
-                      https://ui.perfetto.dev) of every GC phase, SwapVA
-                      call, shootdown, and fault event, timestamped in
-                      virtual cycles
-  --trace-summary     print a per-phase/per-event text digest and the
-                      unified counter registry instead of raw JSON
-  --bench-json <out>  write a svagc-bench-report-v1 BENCH record of the
-                      run: the unified counter registry plus derived
-                      pause/throughput scalars in the simulated plane
-                      (digested), host wall time outside it
-  --tlb-oracle        run under the stale-translation oracle: every TLB
-                      hit is cross-checked against the live page table
-                      and every flush audited against the Algorithm 4
-                      preconditions; any violation fails the run
-  --wal               arm the kernel write-ahead journal for PTE-mutating
-                      GC operations (implied by --crash-plan)
-  --crash-plan        seeded crash points, comma-separated `point[:n]`
-                      (the machine dies at the n-th occurrence; n
-                      defaults to 1): before-batch, inside-batch,
-                      after-batch, mid-ipi, mid-rollback, mid-log-append,
-                      inside-recovery, mid-demote-writeback,
-                      mid-promote-fetch.
-                      `run` exits 13 when a crash fires; `recover`
-                      reboots the dead machine, replays the journal, and
-                      exits 0 only if the rebuilt heap hashes
-                      bit-identically to a pre- or post-cycle snapshot
-                      (14 if recovery fails closed)
-  --wal-mutate        seeded journal corruption (teeth testing): a
-                      correct recovery MUST fail closed under it
-  recover             like `run`, but after a seeded crash the machine is
-                      rebooted and the recovery state machine replays the
-                      write-ahead journal (see --crash-plan)
-
-  fleet               the noisy-neighbor chaos harness: N tenants churn
-                      under a shared frame pool (per-tenant quotas, GC
-                      headroom, pressure ladder) while the victim tenants
-                      get seeded permanent SwapVA faults; a fault-free
-                      twin fleet runs alongside and both blast-radius
-                      oracles are applied (isolation: healthy heaps
-                      bit-identical to the twin's; frame-leak: pool
-                      in-use == survivors' footprints, ownership audit
-                      clean). Quarantines are reported per tenant with
-                      their classified failure; the fleet itself exits 0
-                      when every tenant completed and the oracles held,
-                      1 on an oracle violation, or the first quarantined
-                      tenant's failure code (quarantine is the expected
-                      outcome for a faulted victim — scripts assert on
-                      it, they don't treat it as a harness error)
-
-  exit codes: 0 ok | 1 error | 2 usage | 10 watchdog deadline |
-              11 fault abort | 12 degraded-mode ladder exhausted |
-              13 machine crashed | 14 recovery failed |
-              15 tenant out of memory | 16 far device failed
-
-  protocol-check      exhaustively model-check the three TLB-coherence
-                      protocols (GlobalBroadcast / LocalOnly / Tracked)
-                      and run the seeded mutation suite; --deep adds a
-                      larger 4-core x 4-page universe. Exit 1 if a real
-                      protocol has a counterexample or a seeded bug goes
-                      undetected"
-    );
-    std::process::exit(2);
-}
-
-fn parse_collector(s: &str) -> CollectorKind {
-    match s {
-        "svagc" => CollectorKind::Svagc,
-        "memmove" => CollectorKind::SvagcMemmove,
-        "parallelgc" => CollectorKind::ParallelGc,
-        "shenandoah" => CollectorKind::Shenandoah,
-        other => {
-            eprintln!("unknown collector {other:?}");
-            usage()
-        }
-    }
-}
-
-fn parse_scheduler(s: &str) -> SchedulerKind {
-    SchedulerKind::parse(s).unwrap_or_else(|| {
-        eprintln!("unknown scheduler {s:?} (barrier | packets)");
-        usage()
-    })
-}
-
-fn parse_machine(s: &str) -> MachineConfig {
-    match s {
-        "6130" => MachineConfig::xeon_gold_6130(),
-        "6240" => MachineConfig::xeon_gold_6240(),
-        "i5" => MachineConfig::i5_7600(),
-        other => {
-            eprintln!("unknown machine {other:?}");
-            usage()
-        }
-    }
-}
-
-/// Tiny flag parser: `--key value` pairs after the subcommand.
-fn flags(args: &[String]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            eprintln!("unexpected argument {a:?}");
-            usage()
-        };
-        // Boolean flags take no value.
-        if key == "instrumented"
-            || key == "verify-phases"
-            || key == "trace-summary"
-            || key == "tlb-oracle"
-            || key == "wal"
-            || key == "fault-permanent"
-            || key == "no-pressure"
-            || key == "deep"
-            || key == "concurrent"
-        {
-            out.push((key.to_string(), "true".to_string()));
-            continue;
-        }
-        let Some(v) = it.next() else {
-            eprintln!("missing value for --{key}");
-            usage()
-        };
-        out.push((key.to_string(), v.clone()));
-    }
-    out
-}
-
-fn get<'a>(fs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-}
+//! `svagc_cli`: the command-line driver (see [`svagc_bench::cli`]).
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            println!("workloads:");
-            for w in suite::standard_suite() {
-                println!(
-                    "  {:<16} threads {:>4}  min heap {:>7.1} MiB",
-                    w.name(),
-                    w.threads(),
-                    w.min_heap_bytes() as f64 / (1 << 20) as f64
-                );
-            }
-            println!("  {:<16} threads {:>4}  (multi-JVM scalability workload)", "LRUCache", 1);
-            println!("collectors: svagc | memmove | parallelgc | shenandoah");
-        }
-        Some(cmd @ ("run" | "recover")) => {
-            let do_recover = cmd == "recover";
-            let fs = flags(&args[1..]);
-            let name = get(&fs, "workload").unwrap_or_else(|| {
-                eprintln!("--workload is required");
-                usage()
-            });
-            let mut w = suite::by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown workload {name:?} (try `svagc list`)");
-                std::process::exit(2);
-            });
-            let mut cfg = RunConfig::new(parse_collector(get(&fs, "collector").unwrap_or("svagc")));
-            cfg.machine = parse_machine(get(&fs, "machine").unwrap_or("6130"));
-            if let Some(f) = get(&fs, "heap-factor") {
-                cfg.heap_factor = f.parse().expect("--heap-factor expects a float");
-            }
-            if let Some(t) = get(&fs, "gc-threads") {
-                cfg.gc_threads = t.parse().expect("--gc-threads expects an integer");
-            }
-            if let Some(st) = get(&fs, "steps") {
-                cfg.steps = Some(st.parse().expect("--steps expects an integer"));
-            }
-            if let Some(t) = get(&fs, "threshold") {
-                cfg.threshold_pages = Some(t.parse().expect("--threshold expects pages"));
-            }
-            cfg.instrumented = get(&fs, "instrumented").is_some();
-            cfg.verify_phases = get(&fs, "verify-phases").is_some();
-            cfg.concurrent = get(&fs, "concurrent").is_some();
-            if let Some(p) = get(&fs, "fault-rate") {
-                cfg.fault_rate = p.parse().expect("--fault-rate expects a probability");
-            }
-            if let Some(sd) = get(&fs, "fault-seed") {
-                cfg.fault_seed = sd.parse().expect("--fault-seed expects an integer");
-            }
-            cfg.fault_permanent_only = get(&fs, "fault-permanent").is_some();
-            if let Some(b) = get(&fs, "swap-fallback-budget") {
-                let budget: u64 = b.parse().expect("--swap-fallback-budget expects an integer");
-                cfg.retry = Some(RetryPolicy::default().with_fallback_budget(Some(budget)));
-            }
-            if let Some(d) = get(&fs, "gc-deadline-cycles") {
-                cfg.deadline_cycles =
-                    Some(d.parse().expect("--gc-deadline-cycles expects cycles"));
-            }
-            if let Some(p) = get(&fs, "degrade-policy") {
-                cfg.degrade = DegradePolicy::parse(p).unwrap_or_else(|| {
-                    eprintln!("unknown degrade policy {p:?} (off | standard | standard:N)");
-                    usage()
-                });
-            }
-            let trace_path = get(&fs, "trace");
-            let trace_summary = get(&fs, "trace-summary").is_some();
-            cfg.trace = trace_path.is_some() || trace_summary;
-            cfg.tlb_oracle = get(&fs, "tlb-oracle").is_some();
-            cfg.wal = get(&fs, "wal").is_some();
-            if let Some(spec) = get(&fs, "crash-plan") {
-                for part in spec.split(',') {
-                    match CrashPlan::parse(part) {
-                        Some(p) => cfg.crash_plans.push(p),
-                        None => {
-                            eprintln!("bad crash plan {part:?} (want point[:n])");
-                            usage()
-                        }
-                    }
-                }
-            }
-            if let Some(m) = get(&fs, "wal-mutate") {
-                cfg.wal_mutation = Some(WalMutation::parse(m).unwrap_or_else(|| {
-                    eprintln!("unknown WAL mutation {m:?} (skip-commit | drop-intent)");
-                    usage()
-                }));
-            }
-            if let Some(s) = get(&fs, "scheduler") {
-                cfg.scheduler = parse_scheduler(s);
-            }
-            if let Some(b) = get(&fs, "core-base") {
-                cfg.core_base = b.parse().expect("--core-base expects an integer");
-            }
-            if let Some(f) = get(&fs, "dram-fraction") {
-                cfg.dram_fraction =
-                    Some(f.parse().expect("--dram-fraction expects a float"));
-            }
-            if let Some(p) = get(&fs, "device-fault-rate") {
-                cfg.device_fault_rate =
-                    p.parse().expect("--device-fault-rate expects a probability");
-            }
-            if let Some(sd) = get(&fs, "device-fault-seed") {
-                cfg.device_fault_seed =
-                    sd.parse().expect("--device-fault-seed expects an integer");
-            }
-            if let Some(n) = get(&fs, "device-offline-after") {
-                cfg.device_offline_after =
-                    Some(n.parse().expect("--device-offline-after expects an integer"));
-            }
-
-            let t0 = std::time::Instant::now();
-            let outcome = run_with_crash(w.as_mut(), &cfg, do_recover).unwrap_or_else(|f| {
-                eprintln!("{cmd} failed: {f}");
-                std::process::exit(f.kind.exit_code());
-            });
-            let r = match outcome {
-                CrashOutcome::Completed(r) => {
-                    if do_recover && cfg.crash_plans.is_empty() {
-                        eprintln!("note: no crash plan armed; the run completed normally");
-                    }
-                    *r
-                }
-                CrashOutcome::Crashed(rep) => {
-                    println!(
-                        "crash        : machine died at {} after {} completed step(s)",
-                        rep.point, rep.steps_completed
-                    );
-                    let Some(rec) = &rep.recovery else {
-                        eprintln!("machine crashed (re-run with `recover` to replay the journal)");
-                        std::process::exit(13);
-                    };
-                    match &rec.outcome {
-                        Ok(rr) => {
-                            let snapshot = if rr.class == CycleClass::Committed {
-                                "post-cycle"
-                            } else {
-                                "pre-cycle"
-                            };
-                            println!(
-                                "recovery     : epoch {} {} | {} op(s) / {} page(s) undone | {} attempt(s)",
-                                rr.epoch,
-                                rr.class.name(),
-                                rr.undone_ops,
-                                rr.undone_pages,
-                                rec.attempts
-                            );
-                            println!(
-                                "heap         : {} objects, {} roots rebuilt from the journal",
-                                rr.objects, rr.roots
-                            );
-                            println!("heap hash    : {:#018x}", rr.content_hash);
-                            println!("verify       : ok (bit-identical to the {snapshot} snapshot)");
-                            if let Some(path) = get(&fs, "bench-json") {
-                                let mut rep2 = Report::new(
-                                    "cli_recover",
-                                    &format!("{name} crash recovery ({})", cfg.machine.name),
-                                );
-                                rep2.counters_from(&rep.registry());
-                                let host = HostInfo {
-                                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                                    threads: 1,
-                                    parallel: false,
-                                };
-                                std::fs::write(path, rep2.bench_json(&host)).unwrap_or_else(|e| {
-                                    eprintln!("cannot write BENCH record to {path:?}: {e}");
-                                    std::process::exit(1);
-                                });
-                                println!("bench json   : {} -> {path}", rep2.sim_digest());
-                            }
-                            std::process::exit(0);
-                        }
-                        Err(why) => {
-                            eprintln!(
-                                "recovery FAILED closed after {} attempt(s): {why}",
-                                rec.attempts
-                            );
-                            std::process::exit(14);
-                        }
-                    }
-                }
-            };
-            let host_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            println!("workload     : {}", r.workload);
-            println!("collector    : {}", r.collector);
-            if cfg.scheduler == SchedulerKind::Packets {
-                println!(
-                    "scheduler    : packets ({} packets | {} steals | {} steal cycles)",
-                    r.gc.total_sched_packets(),
-                    r.gc.total_sched_steals(),
-                    r.gc.total_sched_steal_cycles()
-                );
-            }
-            println!(
-                "heap         : {:.1} MiB ({}x of {:.1} MiB minimum)",
-                r.heap_bytes as f64 / (1 << 20) as f64,
-                cfg.heap_factor,
-                r.min_heap_bytes as f64 / (1 << 20) as f64
-            );
-            println!("steps        : {}", r.steps);
-            println!("full GCs     : {}", r.gc.count());
-            println!(
-                "GC pause     : total {:.3} ms | avg {:.3} ms | max {:.3} ms",
-                r.gc_total_ms(),
-                r.gc_avg_ms(),
-                r.gc_max_ms()
-            );
-            println!(
-                "app / total  : {:.3} ms / {:.3} ms  (throughput {:.1} steps/s)",
-                r.app_wall.at_ghz(r.freq_ghz).as_millis(),
-                r.total_wall.at_ghz(r.freq_ghz).as_millis(),
-                r.throughput()
-            );
-            println!(
-                "moved        : {} objects swapped (zero-copy), {:.2} MiB memmoved",
-                r.perf.objects_swapped,
-                r.perf.bytes_copied as f64 / (1 << 20) as f64
-            );
-            if cfg.instrumented {
-                println!(
-                    "cache miss   : {:.2}%   dtlb miss: {:.2}%",
-                    r.perf.cache_miss_pct(),
-                    r.perf.dtlb_miss_pct()
-                );
-            }
-            if cfg.fault_rate > 0.0 {
-                println!(
-                    "resilience   : {} faults injected | {} retries | {} fallbacks | {} batch splits",
-                    r.gc.total_faults_injected(),
-                    r.gc.total_swap_retries(),
-                    r.gc.total_swap_fallbacks(),
-                    r.gc.total_batch_splits()
-                );
-            }
-            if cfg.deadline_cycles.is_some() || cfg.degrade.enabled || r.gc.total_aborts() > 0 {
-                println!(
-                    "transactions : {} aborts | {} watchdog expiries | {} pages rolled back | peak mode {}",
-                    r.gc.total_aborts(),
-                    r.gc.total_watchdog_expiries(),
-                    r.gc.total_rollback_pages(),
-                    DegradedMode::from_level(r.gc.max_mode()).name()
-                );
-            }
-            if r.tier_mode != "off" {
-                println!(
-                    "far tier     : mode {} | {} demotions | {} promotions | {} on-access \
-                     fetches | {} retries | {} device fault(s) | degraded {} / recovered {}",
-                    r.tier_mode,
-                    r.tier.demotions,
-                    r.tier.promotions,
-                    r.tier.fetch_on_access,
-                    r.tier.writeback_retries + r.tier.fetch_retries,
-                    r.device.faults,
-                    r.tier_ctl.degraded,
-                    r.tier_ctl.recovered
-                );
-                println!(
-                    "tier oracle  : ok (residency and device empty, heap fully resident)"
-                );
-            }
-            if r.tlb_oracle.enabled {
-                println!(
-                    "tlb oracle   : {} hits checked | {} stale | {} audit violations",
-                    r.tlb_oracle.checks,
-                    r.tlb_oracle.stale_hits,
-                    r.tlb_oracle.audit_violations
-                );
-            }
-            println!("heap hash    : {:#018x}", r.heap_hash);
-            println!("verify       : {}", if r.verify_ok { "ok" } else { "FAILED" });
-            if let Some(path) = trace_path {
-                let json = svagc_metrics::chrome_trace_json(&r.trace);
-                std::fs::write(path, &json).unwrap_or_else(|e| {
-                    eprintln!("cannot write trace to {path:?}: {e}");
-                    std::process::exit(1);
-                });
-                println!("trace        : {} events -> {path}", r.trace.len());
-            }
-            if trace_summary {
-                println!();
-                println!("{}", svagc_metrics::trace_summary(&r.trace, 10, cfg.machine.cores));
-                println!("-- counter registry --");
-                println!("{}", r.registry().render());
-            }
-            if let Some(path) = get(&fs, "bench-json") {
-                let mut rep = Report::new(
-                    "cli_run",
-                    &format!("{} under {} ({})", r.workload, r.collector, cfg.machine.name),
-                );
-                rep.counters_from(&r.registry());
-                rep.counter("gc.pause_cycles", r.gc_pause_cycles());
-                rep.counter("sim.total_cycles", r.total_cycles());
-                rep.derived("gc_total_ms", r.gc_total_ms());
-                rep.derived("gc_avg_ms", r.gc_avg_ms());
-                rep.derived("gc_max_ms", r.gc_max_ms());
-                rep.derived("throughput_steps_per_s", r.throughput());
-                let host = HostInfo { wall_ms: host_wall_ms, threads: 1, parallel: false };
-                std::fs::write(path, rep.bench_json(&host)).unwrap_or_else(|e| {
-                    eprintln!("cannot write BENCH record to {path:?}: {e}");
-                    std::process::exit(1);
-                });
-                println!("bench json   : {} -> {path}", rep.sim_digest());
-            }
-        }
-        Some("multi") => {
-            let fs = flags(&args[1..]);
-            let n: usize = get(&fs, "jvms")
-                .unwrap_or_else(|| {
-                    eprintln!("--jvms is required");
-                    usage()
-                })
-                .parse()
-                .expect("--jvms expects an integer");
-            let mut base =
-                RunConfig::new(parse_collector(get(&fs, "collector").unwrap_or("svagc")));
-            base.machine = parse_machine(get(&fs, "machine").unwrap_or("6130"));
-            if let Some(t) = get(&fs, "gc-threads") {
-                base.gc_threads = t.parse().expect("--gc-threads expects an integer");
-            } else {
-                base.gc_threads = 4;
-            }
-            if let Some(s) = get(&fs, "scheduler") {
-                base.scheduler = parse_scheduler(s);
-            }
-            let res = run_multi(
-                n,
-                |i| Box::new(LruCache::new(192, 2 << 20, 8, 100 + i as u64)),
-                &base,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("multi-JVM run failed: {e}");
-                std::process::exit(1);
-            });
-            println!("JVMs         : {n} x LRUCache on {}", base.machine.name);
-            println!("collector    : {}", base.collector.label());
-            println!(
-                "per-JVM mean : GC total {:.3} ms | GC max {:.3} ms | app {:.2} ms | total {:.2} ms",
-                res.avg_gc_total_ms(),
-                res.avg_gc_max_ms(),
-                res.avg_app_ms(),
-                res.avg_total_ms()
-            );
-        }
-        Some("fleet") => {
-            let fs = flags(&args[1..]);
-            let mut spec = NoisySpec::standard(
-                get(&fs, "victim-fault-rate")
-                    .map(|p| p.parse().expect("--victim-fault-rate expects a probability"))
-                    .unwrap_or(0.10),
-                get(&fs, "seed")
-                    .map(|s| s.parse().expect("--seed expects an integer"))
-                    .unwrap_or(42),
-            );
-            if let Some(n) = get(&fs, "tenants") {
-                spec.tenants = n.parse().expect("--tenants expects an integer");
-            }
-            if let Some(v) = get(&fs, "victims") {
-                spec.victims = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--victims expects indices i,j,..."))
-                    .collect();
-            }
-            if let Some(s) = get(&fs, "steps") {
-                spec.steps = s.parse().expect("--steps expects an integer");
-            }
-            if let Some(l) = get(&fs, "live-objects") {
-                spec.live_objects = l.parse().expect("--live-objects expects an integer");
-            }
-            if let Some(q) = get(&fs, "quota-fraction") {
-                spec.quota_fraction = q.parse().expect("--quota-fraction expects a float");
-            }
-            if let Some(a) = get(&fs, "max-attempts") {
-                spec.max_attempts = a.parse().expect("--max-attempts expects an integer");
-            }
-            spec.pressure = get(&fs, "no-pressure").is_none();
-            if spec.victims.iter().any(|&v| v >= spec.tenants) {
-                eprintln!("--victims indices must be < --tenants");
-                usage()
-            }
-            let mut base = RunConfig::new(noisy::default_collector());
-            base.machine = parse_machine(get(&fs, "machine").unwrap_or("6130"));
-            let out = noisy::run_noisy_neighbor(&spec, &base).unwrap_or_else(|e| {
-                eprintln!("fleet FAILED: {e}");
-                std::process::exit(1);
-            });
-            let (quota, headroom) = noisy::quota_frames(&spec, base.heap_factor);
-            println!(
-                "fleet        : {} tenants x {} quota frames ({} GC headroom), \
-                 pressure {}",
-                spec.tenants,
-                quota,
-                headroom,
-                if spec.pressure { "on" } else { "off" }
-            );
-            println!(
-                "victims      : {:?} at {:.1}% permanent fault rate, {} attempt(s)",
-                spec.victims,
-                100.0 * spec.victim_fault_rate,
-                spec.max_attempts
-            );
-            let mut first_quarantine: Option<i32> = None;
-            for (i, o) in out.faulty.outcomes.iter().enumerate() {
-                match o {
-                    TenantOutcome::Completed(r) => println!(
-                        "tenant {i:>2}    : completed | {} frames | throughput {:.1} steps/s | \
-                         pressure remedies {} | heap hash {:#018x}",
-                        r.frames_in_use,
-                        r.throughput(),
-                        r.pressure.denial_remedies
-                            + r.pressure.signal_minor_gcs
-                            + r.pressure.signal_full_gcs,
-                        r.heap_hash
-                    ),
-                    TenantOutcome::Quarantined { kind, message, attempts, frames_reclaimed } => {
-                        first_quarantine.get_or_insert(kind.exit_code());
-                        println!(
-                            "tenant {i:>2}    : QUARANTINED [{}] after {attempts} attempt(s), \
-                             {frames_reclaimed} frame(s) reclaimed: {message}",
-                            kind.label()
-                        );
-                    }
-                }
-            }
-            println!(
-                "isolation    : ok ({} healthy tenant(s) bit-identical to the fault-free twin)",
-                out.isolation_compared
-            );
-            println!(
-                "frame leak   : ok ({} frame(s) audited, pool in-use == survivors' footprints)",
-                out.frames_audited
-            );
-            if let Some(code) = first_quarantine {
-                std::process::exit(code);
-            }
-        }
-        Some("protocol-check") => {
-            let fs = flags(&args[1..]);
-            let mut universes = vec![("default", ModelConfig::default_check())];
-            if get(&fs, "deep").is_some() {
-                // Larger bound: 4 cores x 4 pages x a 3-swap chain. Too slow
-                // for the debug test suite; the CI protocol-check job runs it
-                // in release mode.
-                universes.push((
-                    "deep",
-                    ModelConfig {
-                        cores: 4,
-                        pages: 4,
-                        swaps: vec![(0, 1), (1, 2), (2, 3)],
-                        max_cycle_reads: 2,
-                        max_migrations: 1,
-                    },
-                ));
-            }
-            let mut failed = false;
-            for (label, cfg) in &universes {
-                println!(
-                    "universe {label}: {} cores x {} pages, swaps {:?}, \
-                     <= {} mutator reads, <= {} migrations",
-                    cfg.cores, cfg.pages, cfg.swaps, cfg.max_cycle_reads, cfg.max_migrations
-                );
-                for mode in
-                    [FlushMode::GlobalBroadcast, FlushMode::LocalOnly, FlushMode::Tracked]
-                {
-                    let rep = protocol::check_protocol(mode, cfg);
-                    match &rep.counterexample {
-                        None => println!(
-                            "  {mode:?}: no stale translation over {} states",
-                            rep.states_explored
-                        ),
-                        Some(cex) => {
-                            failed = true;
-                            println!(
-                                "  {mode:?}: VIOLATION after {} states:\n{cex}",
-                                rep.states_explored
-                            );
-                        }
-                    }
-                }
-                println!("  mutation suite:");
-                for rep in protocol::mutation_suite(cfg) {
-                    let m = rep.mutation.expect("suite reports carry their mutation");
-                    match &rep.counterexample {
-                        Some(cex) => println!(
-                            "  [detected] {} ({:?}, {} states):\n{cex}",
-                            m.label(),
-                            rep.mode,
-                            rep.states_explored
-                        ),
-                        None => {
-                            failed = true;
-                            println!(
-                                "  [MISSED] {} ({:?}) — checker has no teeth for this bug",
-                                m.label(),
-                                rep.mode
-                            );
-                        }
-                    }
-                }
-            }
-            if failed {
-                eprintln!("protocol-check FAILED");
-                std::process::exit(1);
-            }
-            println!("protocol-check ok");
-        }
-        _ => usage(),
-    }
+    let out = svagc_bench::cli::run(&args);
+    print!("{}", out.stdout);
+    eprint!("{}", out.stderr);
+    std::process::exit(out.code);
 }

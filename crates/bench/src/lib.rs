@@ -7,15 +7,19 @@
 //! * [`report`] — per-experiment report sink, BENCH JSON emitter, and
 //!   table/JSON output helpers.
 //! * [`runner`] — experiment registry plus the serial / host-parallel
-//!   runner used by `bin/all` and `bin/ablations`.
+//!   runner used by `bin/all`.
+//! * [`cli`] — the `svagc_cli` command-line driver as a library call.
 //! * [`gate`] — perf-regression comparison of a `BENCH_summary.json`
 //!   against a checked-in baseline (the CI perf gate).
 //!
 //! `bin/all` runs every experiment in paper order (or a subset with
-//! `--only fig11,table3`) and can fan out across host threads with
-//! `--parallel` (simulated output stays byte-identical to serial).
+//! `--only fig11,table3`; the ablations alone are
+//! `--only ablation_threshold,ablation_aggregation,ablation_mechanism,ablation_los,ablation_minor`)
+//! and can fan out across host threads with `--parallel` (simulated
+//! output stays byte-identical to serial).
 
 pub mod ablations;
+pub mod cli;
 pub mod gate;
 pub mod micro;
 pub mod render;

@@ -2,8 +2,9 @@
 //! simulation and writes the paper-matching rows into a [`Report`] sink —
 //! aligned text tables plus `@json` row echoes on the text plane, rows /
 //! headline counters / derived scalars on the simulated plane (which the
-//! BENCH JSON emitter digests for the CI perf gate). `bin/all` and
-//! `bin/ablations` are thin wrappers over [`crate::runner`].
+//! BENCH JSON emitter digests for the CI perf gate). `bin/all` is a thin
+//! wrapper over [`crate::runner`]; the ablations are its
+//! `--only ablation_threshold,ablation_aggregation,ablation_mechanism,ablation_los,ablation_minor`.
 
 use crate::micro;
 use crate::report::{fnv1a, ms, pct, x, Report, Table};
@@ -594,6 +595,14 @@ pub fn noisy_neighbor(rep: &mut Report) {
     ));
 }
 
+/// A collector label as a counter-name segment: lowercase ASCII
+/// alphanumerics, everything else `_`.
+fn key(s: &str) -> String {
+    s.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
+        .collect()
+}
+
 /// Pause CDF: SVAGC stop-the-world vs SVAGC `--concurrent` vs Shenandoah
 /// with its SATB barrier armed, on Bisort. Not a paper figure — it
 /// documents the concurrent-marking mode this reproduction adds. Two
@@ -625,11 +634,6 @@ pub fn pause_cdf(rep: &mut Report) {
             r.satb_logged.to_string(),
         ]);
         rep.row("pause_cdf", r);
-        let key = |s: &str| {
-            s.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
-                .collect::<String>()
-        };
         rep.counter(&format!("pause.max_cycles.{}", key(&r.collector)), r.max_cycles);
         rep.counter(&format!("pause.p50_cycles.{}", key(&r.collector)), r.p50_cycles);
         assert!(r.verify_ok, "{}: end-of-run verification failed", r.collector);
@@ -720,11 +724,6 @@ pub fn tiering_resilience(rep: &mut Report) {
             "{} f={} p={}: end-of-run verification failed",
             r.collector, r.dram_fraction, r.fault_rate
         );
-        let key = |s: &str| {
-            s.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
-                .collect::<String>()
-        };
         rep.counter(
             &format!(
                 "tier.cycles.{}.f{}.p{}",

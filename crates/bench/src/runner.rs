@@ -1,6 +1,7 @@
 //! The experiment registry and the serial / host-parallel runner behind
-//! `bin/all` (every experiment, or a subset via `--only`) and
-//! `bin/ablations`.
+//! `bin/all` (every experiment, or a subset via `--only`). The five
+//! design-choice ablations are
+//! `--only ablation_threshold,ablation_aggregation,ablation_mechanism,ablation_los,ablation_minor`.
 //!
 //! Every entry in [`EXPERIMENTS`] is an independent simulation — it builds
 //! its own `Kernel`, `AddressSpace`, and counters — so fanning experiments
@@ -177,15 +178,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-/// The five design-choice studies `bin/ablations` runs.
-pub const ABLATION_IDS: [&str; 5] = [
-    "ablation_threshold",
-    "ablation_aggregation",
-    "ablation_mechanism",
-    "ablation_los",
-    "ablation_minor",
-];
-
 /// Cheap experiments a parallel `bin/all` re-runs serially as an
 /// always-on determinism probe (milliseconds each).
 pub const DETERMINISM_PROBE_IDS: [&str; 2] = ["fig06", "fig08"];
@@ -224,7 +216,7 @@ pub fn run_experiment(exp: &Experiment) -> Outcome {
 /// Run `ids` serially or host-parallel. Output order always follows
 /// `ids`; with `parallel` only the host scheduling changes — each
 /// experiment is a self-contained simulation, so its simulated plane is
-/// identical either way (see `tests/parallel_determinism.rs`).
+/// identical either way (see `crates/bench/tests/parallel_determinism.rs`).
 pub fn run_ids(ids: &[&str], parallel: bool) -> Vec<Outcome> {
     let exps: Vec<&'static Experiment> = ids
         .iter()
@@ -336,9 +328,6 @@ mod tests {
         }
         for probe in DETERMINISM_PROBE_IDS {
             assert!(find(probe).is_some());
-        }
-        for ab in ABLATION_IDS {
-            assert!(find(ab).is_some());
         }
     }
 

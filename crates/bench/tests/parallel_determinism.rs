@@ -8,6 +8,14 @@ use svagc_bench::runner;
 use svagc_metrics::{parse_json, JsonValue};
 
 const IDS: [&str; 2] = ["fig06", "fig08"];
+/// The five design-choice ablations.
+const ABLATIONS: [&str; 5] = [
+    "ablation_threshold",
+    "ablation_aggregation",
+    "ablation_mechanism",
+    "ablation_los",
+    "ablation_minor",
+];
 
 #[test]
 fn representative_figures_are_bitwise_identical_serial_vs_parallel() {
@@ -40,11 +48,11 @@ fn representative_figures_are_bitwise_identical_serial_vs_parallel() {
 fn bench_files_from_a_parallel_run_parse_and_match_serial_digests() {
     std::env::set_var("SVAGC_HOST_THREADS", "4");
     let dir = std::env::temp_dir().join(format!("svagc_bench_test_{}", std::process::id()));
-    let par = runner::run_ids(&runner::ABLATION_IDS, true);
+    let par = runner::run_ids(&ABLATIONS, true);
     runner::write_bench_files(&dir, &par, true).unwrap();
     runner::write_summary(&dir, &par, true).unwrap();
 
-    let serial = runner::run_ids(&runner::ABLATION_IDS, false);
+    let serial = runner::run_ids(&ABLATIONS, false);
     let summary =
         parse_json(&std::fs::read_to_string(dir.join("BENCH_summary.json")).unwrap()).unwrap();
     let entries = summary.get("experiments").and_then(JsonValue::as_arr).unwrap();
